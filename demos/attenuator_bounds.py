@@ -18,7 +18,6 @@ from gausscap import (
     attenuator_rosati,
     bounds_attenuator,
     combined_decomposition_bound,
-    entangled_flag_attenuator_bound,
 )
 from gausscap.figures import fig3_inset_series, fig3_series, write_csv
 
@@ -59,19 +58,6 @@ for eta in (0.67, 0.69, 0.71):
         f"  improvement={direct - result.value:.2e}"
     )
     print(f"   via {result.witness.describe()}")
-
-print()
-print("=" * 72)
-print("Entangling the flag ancilla (one-parameter family)")
-print("=" * 72)
-eta = 0.95
-result = entangled_flag_attenuator_bound(eta, N)
-closed = attenuator_extension(eta, N)
-print(
-    f"eta={eta}, N={N}: optimized value={result.value:.6f} at flag occupancy "
-    f"{result.best_tau:.4f}; vacuum-flag closed form={closed:.6f}"
-)
-print("(the optimum sits at the vacuum flag to within probe resolution)")
 
 print()
 write_csv(fig3_series(N=N), "fig3.csv")

@@ -41,16 +41,17 @@ from .channels import (  # noqa: E402
     flagged_additive_noise,
     flagged_mixing_matrix,
     from_phase_insensitive,
+    phase_insensitive_family,
     identity_channel,
     tensor_with_identity,
     to_phase_insensitive,
 )
 from .bounds import (  # noqa: E402
+    FAMILIES,
     BoundEntry,
     BoundReport,
     CoherentInfoEstimate,
     DecompositionBound,
-    EntangledFlagResult,
     additive_flagged_extension,
     additive_lower,
     additive_naj,
@@ -70,8 +71,6 @@ from .bounds import (  # noqa: E402
     bounds_report,
     coherent_info_thermal,
     combined_decomposition_bound,
-    entangled_flag_attenuator_bound,
-    entangled_flag_coherent_info,
 )
 from .verify import CheckOutcome, run_all_checks, suite_entries  # noqa: E402
 from .figures import FigureSeries, build_figure, write_csv  # noqa: E402

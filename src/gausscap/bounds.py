@@ -1,15 +1,18 @@
 """Capacity bounds for phase-insensitive bosonic Gaussian channels.
 
-Every closed-form bound is exposed as a scalar function, the per-channel
-report builders collect them with applicability flags, and a numerical
-coherent-information estimator on thermal probes provides an independent
-check of the degradable-extension formulas. All values are in bits; raw
-bound values may be negative, the clamped value max(raw, 0) is what bounds
-the capacity.
+Every closed-form bound is exposed as a scalar function. `FAMILIES` declares,
+once per channel family, its parameters, their domain and the ordered bound
+rows with their applicability rules; reports, the decomposition scan, the
+figures and the CLI all read that table. A numerical coherent-information
+estimator on thermal probes provides an independent check of the
+degradable-extension formulas. All values are in bits; raw bound values may
+be negative, the clamped value max(raw, 0) is what bounds the capacity.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,14 +21,12 @@ from .channels import (
     ParamDomainError,
     PhaseInsensitiveParams,
     apply,
-    extended_attenuator_pair,
+    phase_insensitive_family,
     tensor_with_identity,
 )
 from .symplectic import (
     GaussianState,
     bosonic_entropy,
-    direct_sum,
-    thermal_cov,
     thermal_state,
     two_mode_squeezed_cov,
 )
@@ -33,12 +34,14 @@ from .symplectic import (
 __all__ = [
     "OracleDivergedError",
     "InfeasibleDecompositionError",
+    "BoundRow",
+    "BoundFamily",
+    "FAMILIES",
     "BoundEntry",
     "BoundReport",
     "CoherentInfoEstimate",
     "DecompositionWitness",
     "DecompositionBound",
-    "EntangledFlagResult",
     "additive_lower",
     "additive_naj",
     "additive_plob",
@@ -58,8 +61,6 @@ __all__ = [
     "bounds_report",
     "coherent_info_thermal",
     "combined_decomposition_bound",
-    "entangled_flag_coherent_info",
-    "entangled_flag_attenuator_bound",
     "golden_section_minimize",
 ]
 
@@ -112,8 +113,8 @@ def additive_flagged_extension(beta: float) -> float:
 
 
 def _check_beta(beta: float):
-    if beta <= 0:
-        raise ParamDomainError(f"need beta > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise _domain_error("beta > 0", beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +154,8 @@ def amplifier_flagged_extension(g: float, N: float) -> float:
 
 
 def _check_amp(g: float, N: float):
-    if g <= 1.0 or N < 0:
-        raise ParamDomainError(f"need g > 1 and N >= 0, got {g}, {N}")
+    if not (1.0 < g < math.inf and 0.0 <= N < math.inf):
+        raise _domain_error("g > 1 and N >= 0", g=g, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +206,131 @@ def attenuator_extension(eta: float, N: float) -> float:
 
 
 def _check_att(eta: float, N: float):
-    if not 0.0 < eta < 1.0 or N < 0:
-        raise ParamDomainError(f"need 0 < eta < 1 and N >= 0, got {eta}, {N}")
+    if not (0.0 < eta < 1.0 and 0.0 <= N < math.inf):
+        raise _domain_error("0 < eta < 1 and N >= 0", eta=eta, N=N)
+
+
+def _domain_error(rule: str, **params) -> ParamDomainError:
+    """Error for parameters outside `rule`; a non-finite one is named alone."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            return ParamDomainError(f"{name} must be finite, got {value}")
+    got = ", ".join(f"{name}={value}" for name, value in params.items())
+    return ParamDomainError(f"need {rule}, got {got}")
+
+
+# ---------------------------------------------------------------------------
+# The bound table: each family's parameters, domain and bounds, declared once
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BoundRow:
+    """One bound of a family, evaluated on the family's parameters in order.
+
+    `applies` is the applicability predicate (None: the row always applies).
+    Where a row does not apply its raw value is NaN, unless the formula is
+    `defined_everywhere`; then its value is still reported, as inapplicable.
+    `note` is the report text, or a callable (applies, *params) -> text.
+    """
+
+    name: str
+    formula: Callable[..., float]
+    applies: Callable[..., bool] | None = None
+    note: str | Callable[..., str] = ""
+    defined_everywhere: bool = False
+
+
+@dataclass(frozen=True)
+class BoundFamily:
+    """A channel family: parameter names, the one domain validator shared
+    with its closed forms, the lower-bound row and the upper-bound rows."""
+
+    params: tuple
+    check: Callable[..., None]
+    lower: BoundRow
+    upper_rows: tuple
+
+    @cached_property
+    def rows(self) -> tuple:
+        return (self.lower, *self.upper_rows)
+
+
+def _has_additive_factor(g: float, N: float) -> bool:
+    return N > 0.0  # beta_tilde is undefined at N = 0
+
+
+def _additive_factor_note(text: str):
+    """Note for an amplifier row that routes through the additive factor."""
+
+    def note(applies: bool, g: float, N: float) -> str:
+        if not applies:
+            return "additive-factor route undefined at N = 0"
+        return f"{text} (beta={beta_tilde(g, N):.6g})"
+
+    return note
+
+
+_LOWER_NOTE = "one-shot coherent information, infinite-temperature input"
+_PLOB_NOTE = "two-way assisted capacity bound"
+
+FAMILIES = {
+    "additive": BoundFamily(
+        ("beta",),
+        _check_beta,
+        BoundRow("lower", additive_lower, note=_LOWER_NOTE),
+        (
+            BoundRow("naj", additive_naj, note="data processing, additive-noise route"),
+            BoundRow("plob", additive_plob, note=_PLOB_NOTE),
+            BoundRow(
+                "extension",
+                additive_flagged_extension,
+                note="degradable flagged-extension capacity",
+            ),
+        ),
+    ),
+    "amplifier": BoundFamily(
+        ("g", "N"),
+        _check_amp,
+        BoundRow("lower", amplifier_lower, note=_LOWER_NOTE),
+        (
+            BoundRow(
+                "naj",
+                amplifier_naj,
+                _has_additive_factor,
+                _additive_factor_note("data processing through the additive factor"),
+            ),
+            BoundRow("plob", amplifier_plob, note=_PLOB_NOTE),
+            BoundRow(
+                "extension",
+                amplifier_flagged_extension,
+                _has_additive_factor,
+                _additive_factor_note("flagged-extension bound on the additive factor"),
+            ),
+        ),
+    ),
+    "attenuator": BoundFamily(
+        ("eta", "N"),
+        _check_att,
+        BoundRow("lower", attenuator_lower, note=_LOWER_NOTE),
+        (
+            BoundRow("plob", attenuator_plob, note=_PLOB_NOTE),
+            BoundRow(
+                "rosati",
+                attenuator_rosati,
+                lambda eta, N: eta - N * (1.0 - eta) > 0.0,
+                "weak-degradability data processing to a pure-loss channel",
+            ),
+            BoundRow(
+                "extension",
+                attenuator_extension,
+                lambda eta, N: eta > 0.5,
+                "degradable two-mode extension capacity (valid for eta > 1/2)",
+                defined_everywhere=True,
+            ),
+        ),
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +368,10 @@ class BoundReport:
         return self.entries[name]
 
     @property
+    def lower(self) -> BoundEntry:
+        return self.entries["lower"]
+
+    @property
     def combined(self) -> float:
         return self.entries["combined"].clamped
 
@@ -270,118 +398,43 @@ class BoundReport:
         }
 
 
-def _finish_report(family: str, params: dict, entries: dict) -> BoundReport:
-    uppers = [
-        e.clamped
-        for name, e in entries.items()
-        if name != "lower" and e.applicable and not math.isnan(e.raw)
-    ]
+def bounds_report(family: str, **params) -> BoundReport:
+    """Every bound in one family's table, named by row, plus "combined": the
+    minimum over the applicable upper bounds, clamped at zero."""
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise ParamDomainError(f"unknown channel family {family!r}")
+    args = [params[name] for name in fam.params]
+    fam.check(*args)
+    entries = {}
+    best = math.inf
+    for row in fam.rows:
+        applies = row.applies is None or row.applies(*args)
+        raw = row.formula(*args) if applies or row.defined_everywhere else math.nan
+        note = row.note if isinstance(row.note, str) else row.note(applies, *args)
+        entries[row.name] = BoundEntry(raw, applies, note)
+        if applies and row is not fam.lower and raw < best:  # NaN never compares less
+            best = raw
     entries["combined"] = BoundEntry(
-        min(uppers), True, "minimum over the applicable upper bounds"
+        max(best, 0.0), True, "minimum over the applicable upper bounds"
     )
-    return BoundReport(family, params, entries)
+    return BoundReport(family, dict(zip(fam.params, args)), entries)
 
 
 def bounds_additive(beta: float) -> BoundReport:
     """All bounds for additive Gaussian noise with inverse temperature beta."""
-    _check_beta(beta)
-    entries = {
-        "lower": BoundEntry(
-            additive_lower(beta),
-            True,
-            "one-shot coherent information, infinite-temperature input",
-        ),
-        "naj": BoundEntry(
-            additive_naj(beta), True, "data processing, additive-noise route"
-        ),
-        "plob": BoundEntry(
-            additive_plob(beta), True, "two-way assisted capacity bound"
-        ),
-        "extension": BoundEntry(
-            additive_flagged_extension(beta),
-            True,
-            "degradable flagged-extension capacity",
-        ),
-    }
-    return _finish_report("additive", {"beta": beta}, entries)
+    return bounds_report("additive", beta=beta)
 
 
 def bounds_amplifier(g: float, N: float) -> BoundReport:
-    """All bounds for the thermal amplifier with gain g and photon number N.
-
-    For N = 0 the additive-factor route degenerates; those entries are marked
-    inapplicable and the two-way bound already matches the lower bound.
-    """
-    _check_amp(g, N)
-    entries = {
-        "lower": BoundEntry(
-            amplifier_lower(g, N),
-            True,
-            "one-shot coherent information, infinite-temperature input",
-        ),
-        "plob": BoundEntry(
-            amplifier_plob(g, N), True, "two-way assisted capacity bound"
-        ),
-    }
-    if N > 0:
-        bt = beta_tilde(g, N)
-        entries["naj"] = BoundEntry(
-            amplifier_naj(g, N),
-            True,
-            f"data processing through the additive factor (beta={bt:.6g})",
-        )
-        entries["extension"] = BoundEntry(
-            amplifier_flagged_extension(g, N),
-            True,
-            f"flagged-extension bound on the additive factor (beta={bt:.6g})",
-        )
-    else:
-        entries["naj"] = BoundEntry(
-            float("nan"), False, "additive-factor route undefined at N = 0"
-        )
-        entries["extension"] = BoundEntry(
-            float("nan"), False, "additive-factor route undefined at N = 0"
-        )
-    return _finish_report("amplifier", {"g": g, "N": N}, entries)
+    """All bounds for the thermal amplifier with gain g and photon number N."""
+    return bounds_report("amplifier", g=g, N=N)
 
 
 def bounds_attenuator(eta: float, N: float) -> BoundReport:
     """All bounds for the thermal attenuator with transmissivity eta and
     photon number N."""
-    _check_att(eta, N)
-    rosati = attenuator_rosati(eta, N)
-    entries = {
-        "lower": BoundEntry(
-            attenuator_lower(eta, N),
-            True,
-            "one-shot coherent information, infinite-temperature input",
-        ),
-        "plob": BoundEntry(
-            attenuator_plob(eta, N), True, "two-way assisted capacity bound"
-        ),
-        "rosati": BoundEntry(
-            float("nan") if rosati is None else rosati,
-            rosati is not None,
-            "weak-degradability data processing to a pure-loss channel",
-        ),
-        "extension": BoundEntry(
-            attenuator_extension(eta, N),
-            eta > 0.5,
-            "degradable two-mode extension capacity (valid for eta > 1/2)",
-        ),
-    }
-    return _finish_report("attenuator", {"eta": eta, "N": N}, entries)
-
-
-def bounds_report(family: str, **params) -> BoundReport:
-    """Dispatch to the per-family report builder by family name."""
-    if family == "additive":
-        return bounds_additive(params["beta"])
-    if family == "amplifier":
-        return bounds_amplifier(params["g"], params["N"])
-    if family == "attenuator":
-        return bounds_attenuator(params["eta"], params["N"])
-    raise ParamDomainError(f"unknown channel family {family!r}")
+    return bounds_report("attenuator", eta=eta, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -476,38 +529,19 @@ class DecompositionBound:
     witness: DecompositionWitness
 
 
-def _min_upper_params(p: PhaseInsensitiveParams) -> float:
-    """Best (smallest) clamped upper bound on a phase-insensitive channel.
-
-    Uses the same entries and applicability rules as the report builders,
-    without building the reports (this sits in the decomposition scan's
-    inner loop).
-    """
-    tau, y = p.tau, p.y
-    if abs(tau - 1.0) <= 1e-12:
-        if y <= 1e-12:
-            return float("inf")  # identity stage carries no bound
-        beta = 2.0 / y
-        return min(
-            max(0.0, additive_naj(beta)),
-            max(0.0, additive_plob(beta)),
-            max(0.0, additive_flagged_extension(beta)),
-        )
-    if tau < 1.0:
-        N = max(0.0, (y / (1.0 - tau) - 1.0) / 2.0)
-        vals = [max(0.0, attenuator_plob(tau, N))]
-        rosati = attenuator_rosati(tau, N)
-        if rosati is not None:
-            vals.append(max(0.0, rosati))
-        if tau > 0.5:
-            vals.append(max(0.0, attenuator_extension(tau, N)))
-        return min(vals)
-    N = max(0.0, (y / (tau - 1.0) - 1.0) / 2.0)
-    vals = [max(0.0, amplifier_plob(tau, N))]
-    if N > 0:
-        vals.append(max(0.0, amplifier_naj(tau, N)))
-        vals.append(max(0.0, amplifier_flagged_extension(tau, N)))
-    return min(vals)
+def _direct_upper_bound(p: PhaseInsensitiveParams) -> float:
+    """Best (smallest) clamped upper bound on a phase-insensitive channel:
+    the minimum over its family's applicable upper rows, without building a
+    report (this sits in the decomposition scan's inner loop)."""
+    family, args = phase_insensitive_family(p)
+    fam = FAMILIES.get(family)
+    if fam is None:
+        return math.inf  # identity stage carries no bound
+    best = math.inf
+    for row in fam.upper_rows:
+        if row.applies is None or row.applies(*args):
+            best = min(best, max(0.0, row.formula(*args)))
+    return best
 
 
 def _stage_pair(target, gain, kind, allocation):
@@ -573,7 +607,7 @@ def combined_decomposition_bound(
     """
     if grid < 2:
         raise ParamDomainError(f"need at least 2 grid points, got {grid}")
-    best = DecompositionBound(_min_upper_params(target), DecompositionWitness("direct"))
+    best = DecompositionBound(_direct_upper_bound(target), DecompositionWitness("direct"))
     if not math.isfinite(best.value):
         raise InfeasibleDecompositionError(
             "target admits no finite direct bound; is it the identity?"
@@ -590,7 +624,7 @@ def combined_decomposition_bound(
                 stages = _stage_pair(target, gain, kind, allocation)
                 if stages is None:
                     return float("inf")
-                return min(_min_upper_params(stages[0]), _min_upper_params(stages[1]))
+                return min(_direct_upper_bound(stages[0]), _direct_upper_bound(stages[1]))
 
             values = [value_at(g) for g in gains]
             i = int(np.argmin(values))
@@ -610,65 +644,3 @@ def combined_decomposition_bound(
                     DecompositionWitness(kind, allocation, stages[0], stages[1]),
                 )
     return best
-
-
-# ---------------------------------------------------------------------------
-# Entangled-flag variant of the extended attenuator
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EntangledFlagResult:
-    value: float
-    best_tau: float
-    m_used: float
-
-
-def entangled_flag_coherent_info(
-    eta: float, N: float, tau: float, M: float = ORACLE_DEFAULT_M
-) -> float:
-    """Coherent information of the attenuator extension whose flag ancilla
-    comes from a two-mode squeezed state of occupancy tau, on a thermal
-    probe of energy M.
-
-    The second half of the flag pair never meets the environment, so the
-    complement is the exchanged-transmissivity extension fed the probe and a
-    thermal flag of the same occupancy. tau = 0 is the vacuum-flag case.
-    """
-    if not 0.5 < eta < 1.0 or N < 0 or tau < 0:
-        raise ParamDomainError(
-            f"need 1/2 < eta < 1, N >= 0 and tau >= 0, got {eta}, {N}, {tau}"
-        )
-    forward = tensor_with_identity(extended_attenuator_pair(eta, N), 1, side="right")
-    backward = extended_attenuator_pair(1.0 - eta, N)
-    direct_in = GaussianState(
-        np.zeros(6), direct_sum(thermal_cov(M), two_mode_squeezed_cov(tau))
-    )
-    comp_in = GaussianState(np.zeros(4), direct_sum(thermal_cov(M), thermal_cov(tau)))
-    return apply(forward, direct_in).entropy() - apply(backward, comp_in).entropy()
-
-
-def entangled_flag_attenuator_bound(
-    eta: float,
-    N: float,
-    tau_max: float = 5.0,
-    M: float = ORACLE_DEFAULT_M,
-    tol: float = 1e-4,
-) -> EntangledFlagResult:
-    """Extension bound minimized over the entangled-flag occupancy.
-
-    Minimizes entangled_flag_coherent_info over tau in [0, tau_max] by
-    golden section; tau = 0 recovers the vacuum-flag extension, so the
-    result never exceeds that bound.
-    """
-    if not 0.5 < eta < 1.0 or N < 0:
-        raise ParamDomainError(f"need 1/2 < eta < 1 and N >= 0, got {eta}, {N}")
-
-    def value_at(tau: float) -> float:
-        return entangled_flag_coherent_info(eta, N, tau, M)
-
-    tau_best, v_best = golden_section_minimize(value_at, 0.0, tau_max, tol=tol)
-    v_zero = value_at(0.0)
-    if v_zero <= v_best:
-        tau_best, v_best = 0.0, v_zero
-    return EntangledFlagResult(v_best, tau_best, M)

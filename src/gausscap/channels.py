@@ -38,6 +38,7 @@ __all__ = [
     "compose",
     "tensor_with_identity",
     "to_phase_insensitive",
+    "phase_insensitive_family",
     "from_phase_insensitive",
     "complementary",
 ]
@@ -110,9 +111,6 @@ class GaussianChannel:
         omega_out = symplectic_form(self.n_out)
         form = self.Y + 1j * (omega_out - self.X @ omega_in @ self.X.T)
         return float(np.linalg.eigvalsh(form).min())
-
-    def __call__(self, state: GaussianState) -> GaussianState:
-        return apply(self, state)
 
 
 def attenuator(eta: float, N: float = 0.0) -> GaussianChannel:
@@ -246,24 +244,14 @@ def tensor_with_identity(
     eye = np.eye(2 * extra_modes)
     zero = np.zeros((2 * extra_modes, 2 * extra_modes))
     if side == "right":
-        X = direct_sum_rect(channel.X, eye)
+        X = direct_sum(channel.X, eye)
         Y = direct_sum(channel.Y, zero)
     elif side == "left":
-        X = direct_sum_rect(eye, channel.X)
+        X = direct_sum(eye, channel.X)
         Y = direct_sum(zero, channel.Y)
     else:
         raise ValueError("side must be 'left' or 'right'")
     return GaussianChannel(X, Y)
-
-
-def direct_sum_rect(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Block-diagonal stacking for possibly rectangular matrices."""
-    A = np.atleast_2d(A)
-    B = np.atleast_2d(B)
-    out = np.zeros((A.shape[0] + B.shape[0], A.shape[1] + B.shape[1]))
-    out[: A.shape[0], : A.shape[1]] = A
-    out[A.shape[0] :, A.shape[1] :] = B
-    return out
 
 
 @dataclass(frozen=True)
@@ -307,18 +295,35 @@ def to_phase_insensitive(channel: GaussianChannel) -> PhaseInsensitiveParams:
     return PhaseInsensitiveParams(float(X[0, 0] ** 2), max(float(Y[0, 0]), 0.0))
 
 
-def from_phase_insensitive(params: PhaseInsensitiveParams) -> GaussianChannel:
-    """Build the channel realizing (tau, y), picking the family from tau."""
+def phase_insensitive_family(params: PhaseInsensitiveParams) -> tuple[str, tuple]:
+    """Family name and parameters of the channel realizing (tau, y).
+
+    Returns ("identity", ()), ("additive", (beta,)), ("attenuator", (eta, N))
+    or ("amplifier", (g, N)); the parameters are in the order the family's
+    constructor takes them. tau within ISO_TOL of 1 is additive noise, and
+    the identity when y is also within ISO_TOL of 0.
+    """
     tau, y = params.tau, params.y
     if abs(tau - 1.0) <= ISO_TOL:
         if y <= ISO_TOL:
-            return identity_channel(1)
-        return additive_noise(2.0 / y)
+            return "identity", ()
+        return "additive", (2.0 / y,)
     if tau < 1.0:
-        N = max(0.0, (y / (1.0 - tau) - 1.0) / 2.0)
-        return attenuator(tau, N)
-    N = max(0.0, (y / (tau - 1.0) - 1.0) / 2.0)
-    return amplifier(tau, N)
+        return "attenuator", (tau, max(0.0, (y / (1.0 - tau) - 1.0) / 2.0))
+    return "amplifier", (tau, max(0.0, (y / (tau - 1.0) - 1.0) / 2.0))
+
+
+def from_phase_insensitive(params: PhaseInsensitiveParams) -> GaussianChannel:
+    """Build the channel realizing (tau, y), in the family picked by
+    phase_insensitive_family."""
+    family, args = phase_insensitive_family(params)
+    constructors = {
+        "identity": identity_channel,
+        "additive": additive_noise,
+        "attenuator": attenuator,
+        "amplifier": amplifier,
+    }
+    return constructors[family](*args)
 
 
 _COMPLEMENT_BY_EXCHANGE = {

@@ -6,15 +6,15 @@ parameter-domain errors.
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from . import __version__
 from .bounds import (
+    FAMILIES,
     OracleDivergedError,
-    bounds_additive,
-    bounds_amplifier,
-    bounds_attenuator,
+    bounds_report,
     coherent_info_thermal,
 )
 from .channels import (
@@ -28,33 +28,6 @@ from .channels import (
 from .figures import FIGURE_IDS, build_figure, write_csv
 from .verify import DEFAULT_SEED, run_all_checks, suite_entries
 
-_PLOT_SCRIPT = """\
-#!/usr/bin/env python3
-# Generic plotter for a gausscap figure CSV (first column is the x axis).
-import sys
-import matplotlib.pyplot as plt
-
-path = sys.argv[1] if len(sys.argv) > 1 else {csv_name!r}
-rows = [line.strip() for line in open(path) if not line.startswith("#")]
-header = rows[0].split(",")
-data = {{name: [] for name in header}}
-xs = []
-for line in rows[1:]:
-    cells = line.split(",")
-    xs.append(float(cells[0]))
-    for name, cell in zip(header[1:], cells[1:]):
-        data[name].append(float(cell) if cell else None)
-for name in header[1:]:
-    pairs = [(x, v) for x, v in zip(xs, data[name]) if v is not None]
-    if pairs:
-        plt.plot(*zip(*pairs), label=name)
-plt.xlabel(header[0])
-plt.legend()
-plt.tight_layout()
-plt.show()
-"""
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausscap",
@@ -65,9 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bound = sub.add_parser("bound", help="bound report for one channel")
     fam = bound.add_mutually_exclusive_group(required=True)
-    fam.add_argument("--additive", action="store_true")
-    fam.add_argument("--attenuator", action="store_true")
-    fam.add_argument("--amplifier", action="store_true")
+    for family in FAMILIES:
+        fam.add_argument(f"--{family}", dest="family", action="store_const", const=family)
     bound.add_argument("--beta", type=float, help="additive inverse temperature")
     bound.add_argument("--eta", type=float, help="attenuator transmissivity")
     bound.add_argument("--g", type=float, help="amplifier gain")
@@ -77,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figure = sub.add_parser("figure", help="write one figure's data series as CSV")
     figure.add_argument("id", choices=FIGURE_IDS)
     figure.add_argument("--out", help="output path (default <id>.csv in the output dir)")
-    figure.add_argument("--plot-script", action="store_true",
-                        help="also write a generic matplotlib script next to the CSV")
     figure.add_argument("--n", type=float, help="environment photon number (fig2/fig3)")
     figure.add_argument("--x-min", type=float, help="fig1 inverse-beta minimum")
     figure.add_argument("--x-max", type=float, help="fig1 inverse-beta maximum")
@@ -122,17 +92,18 @@ def _require(args, names):
 
 
 def _cmd_bound(args) -> int:
-    if args.additive:
-        _require(args, ["beta"])
-        report = bounds_additive(args.beta)
-    elif args.attenuator:
-        _require(args, ["eta", "n"])
-        report = bounds_attenuator(args.eta, args.n)
-    else:
-        _require(args, ["g", "n"])
-        report = bounds_amplifier(args.g, args.n)
+    flags = {name: name.lower() for name in FAMILIES[args.family].params}
+    _require(args, flags.values())
+    report = bounds_report(
+        args.family, **{name: getattr(args, flag) for name, flag in flags.items()}
+    )
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2))
+        payload = report.to_dict()
+        for entry in payload["entries"].values():
+            for key in ("raw", "clamped"):
+                if not math.isfinite(entry[key]):
+                    entry[key] = None  # NaN and infinities are not JSON
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         for key, value in report.params.items():
             print(f"# {key}: {value:.12g}")
@@ -172,11 +143,6 @@ def _cmd_figure(args) -> int:
     path = args.out or os.path.join(out_dir, f"{args.id}.csv")
     write_csv(series, path)
     print(path)
-    if args.plot_script:
-        script = os.path.splitext(path)[0] + "_plot.py"
-        with open(script, "w", encoding="utf-8") as fh:
-            fh.write(_PLOT_SCRIPT.format(csv_name=os.path.basename(path)))
-        print(script)
     return 0
 
 

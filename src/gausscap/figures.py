@@ -1,8 +1,9 @@
 """Deterministic data series behind the comparison figures.
 
 Each builder sweeps one channel family over a parameter grid and tabulates
-the bound values; the attenuator figures report upper bounds as ratios to
-the lower bound, which is the shape the comparisons are usually plotted in.
+the bound values, one column per row of the family's bound table; the
+attenuator figures report upper bounds as ratios to the lower bound, which is
+the shape the comparisons are usually plotted in.
 Series serialize to diff-friendly CSV: '#' metadata lines, a header row and
 12 significant digits.
 """
@@ -12,12 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    bounds_additive,
-    bounds_amplifier,
-    bounds_attenuator,
-    combined_decomposition_bound,
-)
+from .bounds import bounds_report, combined_decomposition_bound
 from .channels import ParamDomainError, PhaseInsensitiveParams
 
 __all__ = [
@@ -89,16 +85,22 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
+def _bound_columns(family: str, points) -> dict:
+    """Clamped value of every report entry at each parameter point, None where
+    the entry does not apply."""
+    columns = {}
+    for params in points:
+        for name, entry in bounds_report(family, **params).entries.items():
+            columns.setdefault(name, []).append(
+                entry.clamped if entry.applicable else None
+            )
+    return columns
+
+
 def fig1_series(x_min: float = 0.02, x_max: float = 0.7, step: float = 0.005):
     """Additive Gaussian noise bounds against inverse beta (noise variance)."""
     xs = _grid(x_min, x_max, step)
-    names = ("lower", "naj", "plob", "extension", "combined")
-    columns = {name: [] for name in names}
-    for x in xs:
-        report = bounds_additive(1.0 / x)
-        for name in names:
-            entry = report[name]
-            columns[name].append(entry.clamped if entry.applicable else None)
+    columns = _bound_columns("additive", [{"beta": 1.0 / x} for x in xs])
     meta = {
         "x": "inverse beta (added noise variance / 2)",
         "grid": f"[{x_min:g}, {x_max:g}] step {step:g}",
@@ -118,13 +120,7 @@ def fig2_series(
     if points < 2 or g_max <= 1.0 + g_offset_min:
         raise ParamDomainError("need points >= 2 and g_max > 1 + g_offset_min")
     gains = 1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)
-    names = ("lower", "naj", "plob", "extension", "combined")
-    columns = {name: [] for name in names}
-    for g in gains:
-        report = bounds_amplifier(float(g), N)
-        for name in names:
-            entry = report[name]
-            columns[name].append(entry.clamped if entry.applicable else None)
+    columns = _bound_columns("amplifier", [{"g": float(g), "N": N} for g in gains])
     meta = {
         "x": "amplifier gain",
         "N": f"{N:g}",
@@ -136,31 +132,30 @@ def fig2_series(
     return FigureSeries("fig2", "gain", [float(g) for g in gains], columns, meta)
 
 
-def _attenuator_ratio_columns(etas, N, with_combined: bool, grid: int):
-    names = ["lower", "plob", "rosati", "extension"] + (
-        ["combined"] if with_combined else []
-    )
-    columns = {name: [] for name in names}
+def _attenuator_ratio_columns(etas, N, grid: int | None = None) -> dict:
+    """Lower bound, then each attenuator upper row as a ratio to it; with a
+    decomposition grid, the decomposition-combined bound as one more ratio."""
+    columns = {}
     for eta in etas:
-        report = bounds_attenuator(float(eta), N)
-        low = report["lower"].clamped
-        columns["lower"].append(low)
-        for name in ("plob", "rosati", "extension"):
-            entry = report[name]
-            if not entry.applicable or low <= 0.0:
-                columns[name].append(None)
-            else:
-                columns[name].append(entry.clamped / low)
-        if with_combined:
-            if low <= 0.0:
-                columns["combined"].append(None)
-            else:
-                target = PhaseInsensitiveParams(
-                    float(eta), (1.0 - float(eta)) * (2.0 * N + 1.0)
-                )
-                columns["combined"].append(
-                    combined_decomposition_bound(target, grid=grid).value / low
-                )
+        eta = float(eta)
+        report = bounds_report("attenuator", eta=eta, N=N)
+        low = report.lower.clamped
+        uppers = {
+            name: entry.clamped if entry.applicable else None
+            for name, entry in report.upper_entries().items()
+        }
+        if grid is not None:
+            target = PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
+            uppers["combined"] = (
+                combined_decomposition_bound(target, grid=grid).value
+                if low > 0.0
+                else None
+            )
+        columns.setdefault("lower", []).append(low)
+        for name, value in uppers.items():
+            columns.setdefault(name, []).append(
+                None if value is None or low <= 0.0 else value / low
+            )
     return columns
 
 
@@ -172,7 +167,7 @@ def fig3_series(
 ):
     """Thermal attenuator upper bounds as ratios to the lower bound."""
     etas = _grid(eta_min, eta_max, step)
-    columns = _attenuator_ratio_columns(etas, N, with_combined=False, grid=0)
+    columns = _attenuator_ratio_columns(etas, N)
     meta = {
         "x": "attenuator transmissivity",
         "N": f"{N:g}",
@@ -196,7 +191,7 @@ def fig3_inset_series(
     """Close-up of the attenuator figure around the bound crossing, with the
     decomposition-combined bound added."""
     etas = _grid(eta_min, eta_max, step)
-    columns = _attenuator_ratio_columns(etas, N, with_combined=True, grid=grid)
+    columns = _attenuator_ratio_columns(etas, N, grid)
     meta = {
         "x": "attenuator transmissivity",
         "N": f"{N:g}",

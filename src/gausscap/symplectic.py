@@ -217,17 +217,15 @@ def gauge_rotation(theta: float, pattern: str = "single") -> np.ndarray:
 
 
 def direct_sum(*blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal composition of covariance matrices; mode counts add."""
-    blocks = [np.asarray(b, dtype=float) for b in blocks if np.asarray(b).size]
-    if not blocks:
-        return np.zeros((0, 0))
-    total = sum(b.shape[0] for b in blocks)
-    out = np.zeros((total, total))
-    k = 0
+    """Block-diagonal composition; mode counts add. Blocks may be rectangular
+    (the X matrix of a channel between different mode counts)."""
+    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks if np.asarray(b).size]
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
     for b in blocks:
-        m = b.shape[0]
-        out[k : k + m, k : k + m] = b
-        k += m
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
     return out
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausscap.bounds import (
+    FAMILIES,
     InfeasibleDecompositionError,
     OracleDivergedError,
     additive_flagged_extension,
@@ -24,17 +25,18 @@ from gausscap.bounds import (
     bounds_report,
     coherent_info_thermal,
     combined_decomposition_bound,
-    entangled_flag_attenuator_bound,
-    entangled_flag_coherent_info,
     golden_section_minimize,
 )
+from gausscap.bounds import _direct_upper_bound
 from gausscap.channels import (
     ParamDomainError,
     PhaseInsensitiveParams,
     complementary,
     extended_attenuator,
     flagged_additive_noise,
+    from_phase_insensitive,
     identity_channel,
+    phase_insensitive_family,
 )
 from gausscap.symplectic import bosonic_entropy
 
@@ -143,6 +145,45 @@ def test_bounds_report_dispatch():
     assert bounds_report("attenuator", eta=0.7, N=0.1).family == "attenuator"
     with pytest.raises(ParamDomainError):
         bounds_report("squeezer", r=1.0)
+
+
+def test_amplifier_rows_follow_table_order():
+    names = list(bounds_amplifier(1.01, 10.0).entries)
+    assert names == ["lower", "naj", "plob", "extension", "combined"]
+    assert names[:-1] == [row.name for row in FAMILIES["amplifier"].rows]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_finite_parameters(value):
+    with pytest.raises(ParamDomainError, match="beta must be finite"):
+        additive_plob(value)
+    with pytest.raises(ParamDomainError, match="g must be finite"):
+        amplifier_plob(value, 1.0)
+    with pytest.raises(ParamDomainError, match="N must be finite"):
+        amplifier_naj(2.0, value)
+    with pytest.raises(ParamDomainError, match="eta must be finite"):
+        attenuator_plob(value, 0.1)
+    with pytest.raises(ParamDomainError, match="N must be finite"):
+        bounds_attenuator(0.8, value)
+
+
+@pytest.mark.parametrize(
+    "tau, y, family",
+    [
+        (0.7, 0.3 * 1.1, "attenuator"),
+        (1.5, 0.5 * 2.0, "amplifier"),
+        (1.0, 0.5, "additive"),
+        (1.0 - 5e-11, 0.5, "additive"),
+        (1.0 + 5e-11, 0.5, "additive"),
+    ],
+)
+def test_decomposition_and_channels_agree_on_family(tau, y, family):
+    target = PhaseInsensitiveParams(tau, y)
+    name, args = phase_insensitive_family(target)
+    assert name == family
+    assert from_phase_insensitive(target).family == family
+    params = dict(zip(FAMILIES[family].params, args))
+    assert _direct_upper_bound(target) == bounds_report(family, **params).combined
 
 
 def test_report_combined_not_above_any_applicable_upper():
@@ -258,38 +299,6 @@ def test_combined_bound_identity_target_infeasible():
     # The identity channel has no finite upper bound to process through.
     with pytest.raises(InfeasibleDecompositionError):
         combined_decomposition_bound(PhaseInsensitiveParams(1.0, 0.0), grid=10)
-
-
-def test_entangled_flag_never_worse_than_vacuum_flag():
-    eta, N = 0.95, 0.05
-    result = entangled_flag_attenuator_bound(eta, N)
-    assert result.value <= attenuator_extension(eta, N) + 1e-9
-    # improvement over the vacuum flag is below oracle resolution here
-    assert abs(result.value - attenuator_extension(eta, N)) < 1e-2
-    assert 0.0 <= result.best_tau <= 5.0
-
-
-def test_entangled_flag_pure_loss_stays_tight():
-    result = entangled_flag_attenuator_bound(0.8, 0.0, M=1e6)
-    assert result.value == pytest.approx(2.0, abs=1e-5)
-
-
-def test_entangled_flag_value_independent_of_tau_at_zero_noise():
-    # With a zero-temperature environment the flag carries no information;
-    # the value equals the pure-loss capacity for every flag occupancy.
-    for tau in (0.0, 0.5, 2.0):
-        value = entangled_flag_coherent_info(0.8, 0.0, tau, M=1e6)
-        assert value == pytest.approx(2.0, abs=1e-5)
-
-
-def test_entangled_flag_vacuum_recovers_extension_bound():
-    value = entangled_flag_coherent_info(0.8, 0.05, 0.0, M=1e6)
-    assert value == pytest.approx(attenuator_extension(0.8, 0.05), abs=1e-4)
-
-
-def test_entangled_flag_domain():
-    with pytest.raises(ParamDomainError):
-        entangled_flag_attenuator_bound(0.4, 0.05)
 
 
 def test_closed_form_domain_errors():

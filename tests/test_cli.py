@@ -69,6 +69,45 @@ def test_bound_domain_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--attenuator", "--eta", "0.8", "--n", "nan"], "N"),
+        (["--additive", "--beta", "inf"], "beta"),
+        (["--amplifier", "--g", "inf", "--n", "1"], "g"),
+    ],
+)
+def test_bound_non_finite_parameter_exit_code(capsys, argv, name):
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--amplifier", "--g", "2", "--n", "0"],
+        ["--attenuator", "--eta", "0.3", "--n", "1"],
+        ["--additive", "--beta", "0.5"],
+    ],
+)
+def test_bound_json_is_strict(capsys, argv):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    code, out, _ = run_cli(capsys, "bound", *argv)
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    nulls = [
+        (name, key)
+        for name, entry in payload["entries"].items()
+        for key in ("raw", "clamped")
+        if entry[key] is None
+    ]
+    assert nulls
+
+
 def test_figure_fig1_contents_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -93,19 +132,6 @@ def test_figure_output_dir_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert (tmp_path / "fig2.csv").exists()
     assert out.strip().endswith("fig2.csv")
-
-
-def test_figure_plot_script(tmp_path, capsys):
-    out = tmp_path / "fig1.csv"
-    code, printed, _ = run_cli(
-        capsys,
-        "figure", "fig1", "--x-min", "0.5", "--x-max", "0.52", "--x-step", "0.01",
-        "--out", str(out), "--plot-script",
-    )
-    assert code == 0
-    script = tmp_path / "fig1_plot.py"
-    assert script.exists()
-    assert "matplotlib" in script.read_text()
 
 
 def test_figure_bad_grid_exit_code(capsys):

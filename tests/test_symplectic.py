@@ -180,6 +180,10 @@ def test_direct_sum_and_embed_mean():
     d = symplectic_eigenvalues(direct_sum(3.0 * np.eye(2), two_mode_squeezed_cov(1.0)))
     assert np.allclose(d, [3.0, 1.0, 1.0], atol=1e-10)
     assert np.allclose(embed_mean([1.0, 2.0], [3.0, 4.0]), [1, 2, 3, 4])
+    rect = direct_sum(np.ones((4, 2)), 2.0 * np.eye(2))
+    assert rect.shape == (6, 4)
+    assert np.allclose(rect[:4, :2], 1.0) and np.allclose(rect[4:, 2:], 2.0 * np.eye(2))
+    assert np.allclose(rect[:4, 2:], 0.0) and np.allclose(rect[4:, :2], 0.0)
 
 
 def test_gaussian_state_validation():
