@@ -20,15 +20,16 @@ from .channels import (
     GaussianChannel,
     ParamDomainError,
     PhaseInsensitiveParams,
+    _domain_error,
     apply,
     phase_insensitive_family,
     tensor_with_identity,
 )
 from .symplectic import (
-    GaussianState,
+    LN2,
     bosonic_entropy,
     thermal_state,
-    two_mode_squeezed_cov,
+    two_mode_squeezed_state,
 )
 
 __all__ = [
@@ -64,11 +65,12 @@ __all__ = [
     "golden_section_minimize",
 ]
 
-LN2 = math.log(2.0)
-
 ORACLE_DEFAULT_M = 1e6
 ORACLE_DIVERGENCE_GAP = 1e-2
 ORACLE_DIVERGENCE_M = 1e5
+
+MAX_GRID_POINTS = 10**6  # largest grid a figure or the decomposition scan allocates
+DECOMPOSITION_GAIN_MAX = 50.0  # the scan's gains reach this multiple of max(1, tau)
 
 
 class OracleDivergedError(RuntimeError):
@@ -108,13 +110,13 @@ def additive_flagged_extension(beta: float) -> float:
     return (
         math.log2(beta)
         - 1.0 / LN2
-        + 2.0 * bosonic_entropy(math.sqrt(1.0 + 1.0 / beta**2))
+        + 2.0 * bosonic_entropy(math.hypot(1.0, 1.0 / beta))
     )
 
 
 def _check_beta(beta: float):
-    if not 0.0 < beta < math.inf:
-        raise _domain_error("beta > 0", beta=beta)
+    if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):
+        raise _domain_error("beta > 0 with a finite 1/beta", beta=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,9 @@ def amplifier_flagged_extension(g: float, N: float) -> float:
 def _check_amp(g: float, N: float):
     if not (1.0 < g < math.inf and 0.0 <= N < math.inf):
         raise _domain_error("g > 1 and N >= 0", g=g, N=N)
+    gn = (g - 1.0) * N  # 1 / beta_tilde where N > 0
+    if N > 0.0 and not (0.0 < gn < math.inf and 1.0 / gn < math.inf):
+        raise _domain_error("(g - 1) N and its reciprocal positive and finite", g=g, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +213,6 @@ def attenuator_extension(eta: float, N: float) -> float:
 def _check_att(eta: float, N: float):
     if not (0.0 < eta < 1.0 and 0.0 <= N < math.inf):
         raise _domain_error("0 < eta < 1 and N >= 0", eta=eta, N=N)
-
-
-def _domain_error(rule: str, **params) -> ParamDomainError:
-    """Error for parameters outside `rule`; a non-finite one is named alone."""
-    for name, value in params.items():
-        if not math.isfinite(value):
-            return ParamDomainError(f"{name} must be finite, got {value}")
-    got = ", ".join(f"{name}={value}" for name, value in params.items())
-    return ParamDomainError(f"need {rule}, got {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -474,21 +470,18 @@ def coherent_info_thermal(
     """
     if channel.n_in != 1:
         raise ParamDomainError("thermal-probe estimator needs a one-mode input")
-    if M < 1.0:
-        raise ParamDomainError(f"need probe photon number M >= 1, got {M}")
+    if not 1.0 <= M < math.inf:
+        raise _domain_error("probe photon number M >= 1", M=M)
     if complement is not None and complement.n_in != 1:
         raise ParamDomainError("complement channel must take one mode")
 
+    if complement is None:
+        other, probe = tensor_with_identity(channel, 1, side="right"), two_mode_squeezed_state
+    else:
+        other, probe = complement, thermal_state
+
     def one(m: float) -> float:
-        direct = apply(channel, thermal_state(m))
-        if complement is not None:
-            other = apply(complement, thermal_state(m))
-            return direct.entropy() - other.entropy()
-        joint = tensor_with_identity(channel, 1, side="right")
-        probe = GaussianState(
-            np.zeros(4), two_mode_squeezed_cov(m)
-        )
-        return direct.entropy() - apply(joint, probe).entropy()
+        return apply(channel, thermal_state(m)).entropy() - apply(other, probe(m)).entropy()
 
     value = one(M)
     gap = abs(value - one(M / 10.0))
@@ -593,7 +586,6 @@ def golden_section_minimize(f, a: float, b: float, tol: float = 1e-6, max_iter: 
 def combined_decomposition_bound(
     target: PhaseInsensitiveParams,
     grid: int = 200,
-    gain_max: float = 50.0,
 ) -> DecompositionBound:
     """Best upper bound over two-stage attenuator/amplifier decompositions.
 
@@ -605,8 +597,8 @@ def combined_decomposition_bound(
     stages' best direct upper bounds; the direct bounds on the target itself
     enter as the trivial decomposition, so the result never exceeds them.
     """
-    if grid < 2:
-        raise ParamDomainError(f"need at least 2 grid points, got {grid}")
+    if not 2 <= grid <= MAX_GRID_POINTS:
+        raise ParamDomainError(f"need 2 <= grid <= {MAX_GRID_POINTS}, got {grid}")
     best = DecompositionBound(_direct_upper_bound(target), DecompositionWitness("direct"))
     if not math.isfinite(best.value):
         raise InfeasibleDecompositionError(
@@ -614,7 +606,7 @@ def combined_decomposition_bound(
         )
 
     gain_lo = max(1.0, target.tau) * (1.0 + 1e-4)
-    gain_hi = max(1.0, target.tau) * gain_max
+    gain_hi = max(1.0, target.tau) * DECOMPOSITION_GAIN_MAX
     gains = np.geomspace(gain_lo, gain_hi, grid)
 
     for kind in ("amplifier_first", "amplifier_last"):

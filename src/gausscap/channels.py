@@ -5,6 +5,7 @@ Complete positivity of the map is certified numerically at construction from
 Y + i(Omega_out - X Omega_in X^T) >= 0.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,15 @@ ISO_TOL = 1e-10
 
 class ParamDomainError(ValueError):
     """Channel parameter outside its allowed domain."""
+
+
+def _domain_error(rule: str, **params) -> ParamDomainError:
+    """Error for parameters outside `rule`; a non-finite one is named alone."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            return ParamDomainError(f"{name} must be finite, got {value}")
+    got = ", ".join(f"{name}={value}" for name, value in params.items())
+    return ParamDomainError(f"need {rule}, got {got}")
 
 
 class CPViolationError(ValueError):
@@ -115,8 +125,8 @@ class GaussianChannel:
 
 def attenuator(eta: float, N: float = 0.0) -> GaussianChannel:
     """Thermal attenuator: V -> eta V + (1-eta)(2N+1) I2."""
-    if not 0.0 <= eta <= 1.0 or N < 0:
-        raise ParamDomainError(f"need 0 <= eta <= 1 and N >= 0, got {eta}, {N}")
+    if not (0.0 <= eta <= 1.0 and 0.0 <= N < math.inf):
+        raise _domain_error("0 <= eta <= 1 and N >= 0", eta=eta, N=N)
     X = np.sqrt(eta) * np.eye(2)
     Y = (1.0 - eta) * (2.0 * N + 1.0) * np.eye(2)
     return GaussianChannel(X, Y, "attenuator", (eta, N))
@@ -124,8 +134,8 @@ def attenuator(eta: float, N: float = 0.0) -> GaussianChannel:
 
 def amplifier(g: float, N: float = 0.0) -> GaussianChannel:
     """Thermal amplifier: V -> g V + (g-1)(2N+1) I2."""
-    if g < 1.0 or N < 0:
-        raise ParamDomainError(f"need g >= 1 and N >= 0, got {g}, {N}")
+    if not (1.0 <= g < math.inf and 0.0 <= N < math.inf):
+        raise _domain_error("g >= 1 and N >= 0", g=g, N=N)
     X = np.sqrt(g) * np.eye(2)
     Y = (g - 1.0) * (2.0 * N + 1.0) * np.eye(2)
     return GaussianChannel(X, Y, "amplifier", (g, N))
@@ -133,8 +143,8 @@ def amplifier(g: float, N: float = 0.0) -> GaussianChannel:
 
 def additive_noise(beta: float) -> GaussianChannel:
     """Additive Gaussian noise with inverse temperature beta: V -> V + (2/beta) I2."""
-    if beta <= 0:
-        raise ParamDomainError(f"need beta > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise _domain_error("beta > 0", beta=beta)
     return GaussianChannel(np.eye(2), (2.0 / beta) * np.eye(2), "additive", (beta,))
 
 
@@ -158,8 +168,8 @@ def extended_attenuator_pair(eta: float, N: float) -> GaussianChannel:
     Acts as V -> eta V + (1-eta) V_tms(N) on two modes. Degradable for
     eta > 1/2, with complementary channel obtained by eta -> 1-eta.
     """
-    if not 0.0 <= eta <= 1.0 or N < 0:
-        raise ParamDomainError(f"need 0 <= eta <= 1 and N >= 0, got {eta}, {N}")
+    if not (0.0 <= eta <= 1.0 and 0.0 <= N < math.inf):
+        raise _domain_error("0 <= eta <= 1 and N >= 0", eta=eta, N=N)
     X = np.sqrt(eta) * np.eye(4)
     Y = (1.0 - eta) * two_mode_squeezed_cov(N)
     return GaussianChannel(X, Y, "extended_attenuator_pair", (eta, N))
@@ -172,8 +182,8 @@ def extended_attenuator(eta: float, N: float) -> GaussianChannel:
     map takes one signal mode to (signal, flag). Its capacity upper-bounds
     the thermal attenuator's.
     """
-    if not 0.0 <= eta <= 1.0 or N < 0:
-        raise ParamDomainError(f"need 0 <= eta <= 1 and N >= 0, got {eta}, {N}")
+    if not (0.0 <= eta <= 1.0 and 0.0 <= N < math.inf):
+        raise _domain_error("0 <= eta <= 1 and N >= 0", eta=eta, N=N)
     X = np.sqrt(eta) * np.vstack([np.eye(2), np.zeros((2, 2))])
     Y = (1.0 - eta) * two_mode_squeezed_cov(N) + eta * direct_sum(
         np.zeros((2, 2)), np.eye(2)
@@ -185,8 +195,8 @@ def flagged_mixing_matrix(beta: float) -> np.ndarray:
     """Noise covariance of the three-mode classical mixing that realizes the
     flagged additive-noise channel: correlated displacements on the signal
     and on the momentum quadratures of the two flag modes."""
-    if beta <= 0:
-        raise ParamDomainError(f"need beta > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise _domain_error("beta > 0", beta=beta)
     Y = np.zeros((6, 6))
     Y[0, 0] = Y[1, 1] = 2.0 / beta
     Y[3, 3] = Y[5, 5] = 1.0 / (2.0 * beta)
@@ -203,8 +213,8 @@ def flagged_additive_noise(beta: float) -> GaussianChannel:
     kick applied to the signal, so the flags record which displacement
     occurred. The capacity of this map upper-bounds the additive channel's.
     """
-    if beta <= 0:
-        raise ParamDomainError(f"need beta > 0, got {beta}")
+    if not 0.0 < beta < math.inf:
+        raise _domain_error("beta > 0", beta=beta)
     X = np.vstack([np.eye(2), np.zeros((4, 2))])
     flag = squeezed_vacuum_cov(2.0 / beta)
     Y = flagged_mixing_matrix(beta) + direct_sum(np.zeros((2, 2)), flag, flag)

@@ -8,12 +8,13 @@ Series serialize to diff-friendly CSV: '#' metadata lines, a header row and
 12 significant digits.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .bounds import bounds_report, combined_decomposition_bound
+from .bounds import MAX_GRID_POINTS, bounds_report, combined_decomposition_bound
 from .channels import ParamDomainError, PhaseInsensitiveParams
 
 __all__ = [
@@ -61,7 +62,7 @@ class FigureSeries:
 
 
 def _cell(value) -> str:
-    if value is None or (isinstance(value, float) and np.isnan(value)):
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
     return f"{value:.12g}"
 
@@ -79,10 +80,11 @@ def write_csv(series: FigureSeries, path) -> None:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    if step <= 0 or hi < lo:
-        raise ParamDomainError(f"bad grid [{lo}, {hi}] step {step}")
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
+    steps = (hi - lo) / step if step > 0 else math.nan
+    # round(steps) + 1 points; NaN and inf fail the comparison too
+    if not 0.0 <= steps < MAX_GRID_POINTS - 0.5:
+        raise ParamDomainError(f"need 1 to {MAX_GRID_POINTS} grid points, got [{lo}, {hi}] step {step}")
+    return lo + step * np.arange(round(steps) + 1)
 
 
 def _bound_columns(family: str, points) -> dict:
@@ -117,8 +119,8 @@ def fig2_series(
     points: int = 200,
 ):
     """Thermal amplifier bounds against the gain, log-spaced in gain - 1."""
-    if points < 2 or g_max <= 1.0 + g_offset_min:
-        raise ParamDomainError("need points >= 2 and g_max > 1 + g_offset_min")
+    if not 2 <= points <= MAX_GRID_POINTS or g_max <= 1.0 + g_offset_min:
+        raise ParamDomainError(f"need 2 <= points <= {MAX_GRID_POINTS}, g_max > 1 + g_offset_min")
     gains = 1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)
     columns = _bound_columns("amplifier", [{"g": float(g), "N": N} for g in gains])
     meta = {

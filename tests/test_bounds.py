@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gausscap.bounds import (
     FAMILIES,
+    MAX_GRID_POINTS,
     InfeasibleDecompositionError,
     OracleDivergedError,
     additive_flagged_extension,
@@ -186,6 +188,60 @@ def test_decomposition_and_channels_agree_on_family(tau, y, family):
     assert _direct_upper_bound(target) == bounds_report(family, **params).combined
 
 
+# mpmath at 60 digits of attenuator_extension(0.8, 1e10) at those doubles.
+_EXTENSION_08_1E10 = 2.7050532011032544895107048475141711202171722501252e-10
+
+
+def test_attenuator_edges_of_the_entropy_kernel():
+    # Each row subtracts entropies of 35-55 bits here, so the kernel must be
+    # accurate to a few ulps of h for the differences to keep their sign.
+    assert attenuator_lower(0.8, 1e16) < -50.0
+    assert bounds_attenuator(0.8, 1e16).lower.clamped == 0.0
+    assert abs(bounds_attenuator(0.8, 1e10).combined - _EXTENSION_08_1E10) <= 1e-14
+
+
+def _assert_sandwich(report):
+    assert math.isfinite(report.combined)
+    assert report.lower.clamped <= report.combined * (1.0 + 1e-12) + 1e-12
+
+
+@pytest.mark.parametrize("beta", [1e-200, 1e-160, 1e200])
+def test_additive_report_at_extreme_beta(beta):
+    report = bounds_additive(beta)
+    assert math.isfinite(report["extension"].raw)
+    _assert_sandwich(report)
+
+
+def test_additive_factor_overflow_is_a_domain_error():
+    with pytest.raises(ParamDomainError, match="beta=5e-309"):
+        bounds_additive(5e-309)  # 1/beta overflows
+    with pytest.raises(ParamDomainError, match=r"g=1e\+200, N=1e\+200"):
+        bounds_amplifier(1e200, 1e200)  # (g - 1) N overflows
+    with pytest.raises(ParamDomainError, match=r"g=1\.0000001, N=1e-310"):
+        amplifier_plob(1.0000001, 1e-310)  # beta_tilde overflows
+
+
+_PHOTONS = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+
+
+@given(st.floats(-6.0, 6.0).map(lambda e: 1.0 + 10.0**e), _PHOTONS)
+@example(1.0 + 1e-6, 1e20)
+def test_amplifier_sandwich(g, N):
+    _assert_sandwich(bounds_amplifier(g, N))
+
+
+@given(st.floats(-15.0, math.log10(0.5)), st.booleans(), _PHOTONS)
+@example(-15.0, True, 1e15)
+def test_attenuator_sandwich(log_eta, complement, N):
+    eta = 1.0 - 10.0**log_eta if complement else 10.0**log_eta
+    _assert_sandwich(bounds_attenuator(eta, N))
+
+
+@given(st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+def test_additive_sandwich(beta):
+    _assert_sandwich(bounds_additive(beta))
+
+
 def test_report_combined_not_above_any_applicable_upper():
     for report in (
         bounds_additive(3.0),
@@ -251,6 +307,12 @@ def test_oracle_rejects_multimode_input():
         coherent_info_thermal(extended_attenuator_pair(0.8, 0.0), M=10.0)
 
 
+@pytest.mark.parametrize("M", [math.nan, math.inf])
+def test_oracle_rejects_non_finite_probe_energy(M):
+    with pytest.raises(ParamDomainError, match="M must be finite"):
+        coherent_info_thermal(identity_channel(1), M=M)
+
+
 def test_golden_section_minimize_quadratic():
     x, fx = golden_section_minimize(lambda t: (t - 1.3) ** 2 + 0.5, 0.0, 4.0)
     assert x == pytest.approx(1.3, abs=1e-5)
@@ -293,6 +355,10 @@ def test_combined_bound_improves_near_crossing():
 def test_combined_bound_grid_validation():
     with pytest.raises(ParamDomainError):
         combined_decomposition_bound(PhaseInsensitiveParams(0.7, 0.3), grid=1)
+    with pytest.raises(ParamDomainError, match="grid"):
+        combined_decomposition_bound(
+            PhaseInsensitiveParams(0.7, 0.3), grid=MAX_GRID_POINTS + 1
+        )
 
 
 def test_combined_bound_identity_target_infeasible():

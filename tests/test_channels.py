@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -79,6 +81,28 @@ def test_param_domain_errors():
         additive_noise(0.0)
     with pytest.raises(ParamDomainError):
         extended_attenuator(0.5, -1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: attenuator(v, 0.1), "eta"),
+        (lambda v: attenuator(0.5, v), "N"),
+        (lambda v: amplifier(v, 0.1), "g"),
+        (lambda v: amplifier(2.0, v), "N"),
+        (additive_noise, "beta"),
+        (lambda v: extended_attenuator_pair(v, 0.1), "eta"),
+        (lambda v: extended_attenuator_pair(0.7, v), "N"),
+        (lambda v: extended_attenuator(v, 0.1), "eta"),
+        (lambda v: extended_attenuator(0.7, v), "N"),
+        (flagged_mixing_matrix, "beta"),
+        (flagged_additive_noise, "beta"),
+    ],
+)
+def test_constructors_reject_non_finite_parameters(make, name, value):
+    with pytest.raises(ParamDomainError, match=f"{name} must be finite"):
+        make(value)
 
 
 @pytest.mark.parametrize("beta,M", [(1.0, 1.0), (2.0, 3.0)])

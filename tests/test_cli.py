@@ -3,11 +3,15 @@ import math
 
 import pytest
 
+from gausscap.bounds import MAX_GRID_POINTS
+from gausscap.channels import ParamDomainError
 from gausscap.cli import main
 from gausscap.figures import (
     FigureSeries,
+    _grid,
     build_figure,
     fig1_series,
+    fig2_series,
     fig3_series,
     write_csv,
 )
@@ -140,6 +144,21 @@ def test_figure_bad_grid_exit_code(capsys):
     )
     assert code == 2
     assert "error:" in err
+    # 10**6 steps of 4e-7 make one point more than the cap
+    code, _, err = run_cli(
+        capsys, "figure", "fig3", "--eta-min", "0.5", "--eta-max", "0.9", "--eta-step", "4e-7"
+    )
+    assert code == 2
+    assert f"need 1 to {MAX_GRID_POINTS} grid points" in err
+
+
+def test_figure_grids_capped_before_allocating():
+    span = 0.7 - 0.02
+    assert len(_grid(0.02, 0.7, span / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
+    with pytest.raises(ParamDomainError):
+        fig1_series(x_min=0.02, x_max=0.7, step=span / MAX_GRID_POINTS)
+    with pytest.raises(ParamDomainError):
+        fig2_series(points=MAX_GRID_POINTS + 1)
 
 
 def test_fig3_ratios_at_least_one(tmp_path):
@@ -236,6 +255,21 @@ def test_oracle_extended_attenuator_default_complement(capsys):
     from gausscap.bounds import attenuator_extension
 
     assert abs(value - attenuator_extension(0.8, 0.05)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--extended-attenuator", "--eta", "0.8", "--n", "nan"], "N"),
+        (["--flagged", "--beta", "inf"], "beta"),
+        (["--identity", "--m", "nan"], "M"),
+    ],
+)
+def test_oracle_non_finite_parameter_exit_code(capsys, argv, name):
+    code, out, err = run_cli(capsys, "oracle", *argv)
+    assert code == 2
+    assert out == ""
+    assert f"error: {name} must be finite" in err
 
 
 def test_oracle_divergence_is_a_domain_error(capsys):
