@@ -9,6 +9,7 @@ degradable-extension formulas. All values are in bits; raw bound values may
 be negative, the clamped value max(raw, 0) is what bounds the capacity.
 """
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -21,8 +22,8 @@ from .channels import (
     ParamDomainError,
     PhaseInsensitiveParams,
     _domain_error,
+    _family_of,
     apply,
-    phase_insensitive_family,
     tensor_with_identity,
 )
 from .symplectic import (
@@ -138,10 +139,11 @@ def amplifier_plob(g: float, N: float) -> float:
 
 def beta_tilde(g: float, N: float) -> float:
     """Inverse temperature of the additive factor in amplifier = additive o
-    quantum-limited amplifier; defined for g > 1 and N > 0."""
+    quantum-limited amplifier; defined for g > 1 and N > 0 where it is a
+    positive finite float."""
     _check_amp(g, N)
-    if N == 0:
-        raise ParamDomainError("additive-factor route needs N > 0")
+    if not _has_additive_factor(g, N):
+        raise _domain_error("(g - 1) N and its reciprocal positive and finite", g=g, N=N)
     return 1.0 / ((g - 1.0) * N)
 
 
@@ -158,9 +160,19 @@ def amplifier_flagged_extension(g: float, N: float) -> float:
 def _check_amp(g: float, N: float):
     if not (1.0 < g < math.inf and 0.0 <= N < math.inf):
         raise _domain_error("g > 1 and N >= 0", g=g, N=N)
-    gn = (g - 1.0) * N  # 1 / beta_tilde where N > 0
-    if N > 0.0 and not (0.0 < gn < math.inf and 1.0 / gn < math.inf):
-        raise _domain_error("(g - 1) N and its reciprocal positive and finite", g=g, N=N)
+    if not (N + 1.0) * math.log2(g) + 2.0 * N < math.inf:  # the terms of lower and plob
+        raise _domain_error("(N + 1) log2(g) + 2N finite", g=g, N=N)
+
+
+def _has_additive_factor(g: float, N: float) -> bool:
+    """Whether beta_tilde = 1/((g - 1) N) exists as a positive finite float.
+
+    It is undefined at N = 0, and (g - 1) N or its reciprocal overflows at
+    extreme (g, N); there only the rows routed through the additive factor
+    (naj, extension) do not apply, and lower and plob are still reported.
+    """
+    gn = (g - 1.0) * N
+    return 0.0 < gn < math.inf and 1.0 / gn < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +264,15 @@ class BoundFamily:
         return (self.lower, *self.upper_rows)
 
 
-def _has_additive_factor(g: float, N: float) -> bool:
-    return N > 0.0  # beta_tilde is undefined at N = 0
-
-
 def _additive_factor_note(text: str):
     """Note for an amplifier row that routes through the additive factor."""
 
     def note(applies: bool, g: float, N: float) -> str:
-        if not applies:
+        if applies:
+            return f"{text} (beta={beta_tilde(g, N):.6g})"
+        if N == 0.0:
             return "additive-factor route undefined at N = 0"
-        return f"{text} (beta={beta_tilde(g, N):.6g})"
+        return "additive-factor route undefined: 1/((g - 1) N) is not a positive finite float"
 
     return note
 
@@ -522,11 +532,12 @@ class DecompositionBound:
     witness: DecompositionWitness
 
 
-def _direct_upper_bound(p: PhaseInsensitiveParams) -> float:
-    """Best (smallest) clamped upper bound on a phase-insensitive channel:
-    the minimum over its family's applicable upper rows, without building a
-    report (this sits in the decomposition scan's inner loop)."""
-    family, args = phase_insensitive_family(p)
+def _direct_upper_bound(tau: float, y: float) -> float:
+    """Best (smallest) clamped upper bound on the phase-insensitive channel
+    (tau, y): the minimum over its family's applicable upper rows, on plain
+    floats and without building a report (this is the decomposition scan's
+    inner loop)."""
+    family, args = _family_of(tau, y)
     fam = FAMILIES.get(family)
     if fam is None:
         return math.inf  # identity stage carries no bound
@@ -537,9 +548,13 @@ def _direct_upper_bound(p: PhaseInsensitiveParams) -> float:
     return best
 
 
+_CP_SLACK = 1e-12  # a stage's noise may fall this far below |1 - tau|
+_GAIN_LIMIT_MARGIN = 1e-6  # relative; covers rounding in _stage_pair's CP test
+
+
 def _stage_pair(target, gain, kind, allocation):
-    """Stage parameters for one decomposition candidate, or None if the
-    noise split is not completely positive."""
+    """Stages (tau1, y1, tau2, y2) of one decomposition candidate, or None
+    if the noise split is not completely positive."""
     if kind == "amplifier_first":
         tau1, tau2 = gain, target.tau / gain
     else:
@@ -547,19 +562,34 @@ def _stage_pair(target, gain, kind, allocation):
     if allocation == "min_noise_first":
         y1 = abs(1.0 - tau1)
         y2 = target.y - tau2 * y1
-        if y2 < abs(1.0 - tau2) - 1e-12:
+        if y2 < abs(1.0 - tau2) - _CP_SLACK:
             return None
         y2 = max(y2, abs(1.0 - tau2))
     else:
         y2 = abs(1.0 - tau2)
         y1 = (target.y - y2) / tau2
-        if y1 < abs(1.0 - tau1) - 1e-12:
+        if y1 < abs(1.0 - tau1) - _CP_SLACK:
             return None
         y1 = max(y1, abs(1.0 - tau1))
-    return (
-        PhaseInsensitiveParams(tau1, y1),
-        PhaseInsensitiveParams(tau2, y2),
-    )
+    return tau1, y1, tau2, y2
+
+
+def _gain_limit(target, kind) -> float:
+    """Largest gain at which `kind` has a CP stage pair, for both noise
+    allocations; inf where every gain has one.
+
+    amplifier_first needs G <= 2 tau / (1 + tau - y), amplifier_last
+    G <= (1 + tau + y) / 2. For an attenuator target (eta, N) these are
+    eta / t, with rosati's transmissivity t = eta - N(1 - eta), and
+    1 + N(1 - eta). The first limit includes the CP test's absolute slack,
+    which moves it by slack / (1 + tau - y) relatively: more than
+    _GAIN_LIMIT_MARGIN when 1 + tau - y is small.
+    """
+    tau, y = target.tau, target.y
+    if kind == "amplifier_first":
+        excess = 1.0 + tau - y - _CP_SLACK
+        return 2.0 * tau / excess if excess > 0.0 else math.inf
+    return (1.0 + tau + y) / 2.0
 
 
 def golden_section_minimize(f, a: float, b: float, tol: float = 1e-6, max_iter: int = 200):
@@ -596,43 +626,58 @@ def combined_decomposition_bound(
     Each feasible candidate bounds the target by the smaller of the two
     stages' best direct upper bounds; the direct bounds on the target itself
     enter as the trivial decomposition, so the result never exceeds them.
+
+    Each of the four branches is scanned on a log grid of gains, refined by
+    golden section around its best grid point. The CP-feasible gains of a
+    stage order form a prefix of the grid, ending at `_gain_limit`; the
+    gains past it count as +inf without being evaluated.
     """
     if not 2 <= grid <= MAX_GRID_POINTS:
         raise ParamDomainError(f"need 2 <= grid <= {MAX_GRID_POINTS}, got {grid}")
-    best = DecompositionBound(_direct_upper_bound(target), DecompositionWitness("direct"))
-    if not math.isfinite(best.value):
+    direct = _direct_upper_bound(target.tau, target.y)
+    if not math.isfinite(direct):
         raise InfeasibleDecompositionError(
             "target admits no finite direct bound; is it the identity?"
         )
+    best = DecompositionBound(direct, DecompositionWitness("direct"))
+    if direct == 0.0:
+        return best  # a candidate replaces the best only when strictly smaller
 
-    gain_lo = max(1.0, target.tau) * (1.0 + 1e-4)
-    gain_hi = max(1.0, target.tau) * DECOMPOSITION_GAIN_MAX
-    gains = np.geomspace(gain_lo, gain_hi, grid)
+    scale = max(1.0, target.tau)
+    gains = np.geomspace(scale * (1.0 + 1e-4), scale * DECOMPOSITION_GAIN_MAX, grid).tolist()
 
     for kind in ("amplifier_first", "amplifier_last"):
+        limit = _gain_limit(target, kind) * (1.0 + _GAIN_LIMIT_MARGIN)
+        feasible = gains[: bisect.bisect_right(gains, limit)]
         for allocation in ("min_noise_first", "min_noise_last"):
 
             def value_at(gain: float) -> float:
                 stages = _stage_pair(target, gain, kind, allocation)
                 if stages is None:
-                    return float("inf")
-                return min(_direct_upper_bound(stages[0]), _direct_upper_bound(stages[1]))
+                    return math.inf
+                tau1, y1, tau2, y2 = stages
+                return min(_direct_upper_bound(tau1, y1), _direct_upper_bound(tau2, y2))
 
-            values = [value_at(g) for g in gains]
-            i = int(np.argmin(values))
-            if not math.isfinite(values[i]):
+            values = [value_at(g) for g in feasible]
+            v_grid = min(values, default=math.inf)
+            if not math.isfinite(v_grid):
                 continue
+            i = values.index(v_grid)
             lo = gains[max(i - 1, 0)]
             hi = gains[min(i + 1, grid - 1)]
             g_best, v_best = golden_section_minimize(
                 lambda lg: value_at(math.exp(lg)), math.log(lo), math.log(hi)
             )
-            g_best = math.exp(g_best)
-            if min(v_best, values[i]) < best.value:
-                gain = g_best if v_best <= values[i] else gains[i]
-                stages = _stage_pair(target, gain, kind, allocation)
+            if min(v_best, v_grid) < best.value:
+                gain = math.exp(g_best) if v_best <= v_grid else gains[i]
+                tau1, y1, tau2, y2 = _stage_pair(target, gain, kind, allocation)
                 best = DecompositionBound(
-                    min(v_best, values[i]),
-                    DecompositionWitness(kind, allocation, stages[0], stages[1]),
+                    min(v_best, v_grid),
+                    DecompositionWitness(
+                        kind,
+                        allocation,
+                        PhaseInsensitiveParams(tau1, y1),
+                        PhaseInsensitiveParams(tau2, y2),
+                    ),
                 )
     return best

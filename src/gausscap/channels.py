@@ -61,6 +61,14 @@ def _domain_error(rule: str, **params) -> ParamDomainError:
     return ParamDomainError(f"need {rule}, got {got}")
 
 
+def _finite_term(value: float, term: str, **params) -> float:
+    """`value` of a matrix term computed from `params`; an overflow to inf or
+    NaN is rejected with the parameters named, before any matrix is built."""
+    if not math.isfinite(value):
+        raise _domain_error(f"{term} finite", **params)
+    return value
+
+
 class CPViolationError(ValueError):
     """The (X, Y) pair does not define a completely positive map."""
 
@@ -127,8 +135,9 @@ def attenuator(eta: float, N: float = 0.0) -> GaussianChannel:
     """Thermal attenuator: V -> eta V + (1-eta)(2N+1) I2."""
     if not (0.0 <= eta <= 1.0 and 0.0 <= N < math.inf):
         raise _domain_error("0 <= eta <= 1 and N >= 0", eta=eta, N=N)
+    noise = _finite_term((1.0 - eta) * (2.0 * N + 1.0), "(1 - eta)(2N + 1)", eta=eta, N=N)
     X = np.sqrt(eta) * np.eye(2)
-    Y = (1.0 - eta) * (2.0 * N + 1.0) * np.eye(2)
+    Y = noise * np.eye(2)
     return GaussianChannel(X, Y, "attenuator", (eta, N))
 
 
@@ -136,16 +145,23 @@ def amplifier(g: float, N: float = 0.0) -> GaussianChannel:
     """Thermal amplifier: V -> g V + (g-1)(2N+1) I2."""
     if not (1.0 <= g < math.inf and 0.0 <= N < math.inf):
         raise _domain_error("g >= 1 and N >= 0", g=g, N=N)
+    noise = _finite_term((g - 1.0) * (2.0 * N + 1.0), "(g - 1)(2N + 1)", g=g, N=N)
     X = np.sqrt(g) * np.eye(2)
-    Y = (g - 1.0) * (2.0 * N + 1.0) * np.eye(2)
+    Y = noise * np.eye(2)
     return GaussianChannel(X, Y, "amplifier", (g, N))
 
 
 def additive_noise(beta: float) -> GaussianChannel:
     """Additive Gaussian noise with inverse temperature beta: V -> V + (2/beta) I2."""
+    return GaussianChannel(np.eye(2), _added_variance(beta) * np.eye(2), "additive", (beta,))
+
+
+def _added_variance(beta: float) -> float:
+    """Quadrature variance 2/beta added by additive noise of inverse
+    temperature beta, checked for the domain and for overflow."""
     if not 0.0 < beta < math.inf:
         raise _domain_error("beta > 0", beta=beta)
-    return GaussianChannel(np.eye(2), (2.0 / beta) * np.eye(2), "additive", (beta,))
+    return _finite_term(2.0 / beta, "2/beta", beta=beta)
 
 
 def classical_mixing(Y: np.ndarray) -> GaussianChannel:
@@ -168,8 +184,7 @@ def extended_attenuator_pair(eta: float, N: float) -> GaussianChannel:
     Acts as V -> eta V + (1-eta) V_tms(N) on two modes. Degradable for
     eta > 1/2, with complementary channel obtained by eta -> 1-eta.
     """
-    if not (0.0 <= eta <= 1.0 and 0.0 <= N < math.inf):
-        raise _domain_error("0 <= eta <= 1 and N >= 0", eta=eta, N=N)
+    _check_extension(eta, N)
     X = np.sqrt(eta) * np.eye(4)
     Y = (1.0 - eta) * two_mode_squeezed_cov(N)
     return GaussianChannel(X, Y, "extended_attenuator_pair", (eta, N))
@@ -182,8 +197,7 @@ def extended_attenuator(eta: float, N: float) -> GaussianChannel:
     map takes one signal mode to (signal, flag). Its capacity upper-bounds
     the thermal attenuator's.
     """
-    if not (0.0 <= eta <= 1.0 and 0.0 <= N < math.inf):
-        raise _domain_error("0 <= eta <= 1 and N >= 0", eta=eta, N=N)
+    _check_extension(eta, N)
     X = np.sqrt(eta) * np.vstack([np.eye(2), np.zeros((2, 2))])
     Y = (1.0 - eta) * two_mode_squeezed_cov(N) + eta * direct_sum(
         np.zeros((2, 2)), np.eye(2)
@@ -191,14 +205,22 @@ def extended_attenuator(eta: float, N: float) -> GaussianChannel:
     return GaussianChannel(X, Y, "extended_attenuator", (eta, N))
 
 
+def _check_extension(eta: float, N: float):
+    """Domain of the attenuator extensions. The environment's covariance
+    (two_mode_squeezed_cov) takes sqrt(N(N + 1)), whose argument overflows
+    first."""
+    if not (0.0 <= eta <= 1.0 and 0.0 <= N < math.inf):
+        raise _domain_error("0 <= eta <= 1 and N >= 0", eta=eta, N=N)
+    _finite_term(N * (N + 1.0), "N(N + 1)", eta=eta, N=N)
+
+
 def flagged_mixing_matrix(beta: float) -> np.ndarray:
     """Noise covariance of the three-mode classical mixing that realizes the
     flagged additive-noise channel: correlated displacements on the signal
     and on the momentum quadratures of the two flag modes."""
-    if not 0.0 < beta < math.inf:
-        raise _domain_error("beta > 0", beta=beta)
+    variance = _added_variance(beta)
     Y = np.zeros((6, 6))
-    Y[0, 0] = Y[1, 1] = 2.0 / beta
+    Y[0, 0] = Y[1, 1] = variance
     Y[3, 3] = Y[5, 5] = 1.0 / (2.0 * beta)
     Y[1, 3] = Y[3, 1] = 1.0 / beta
     Y[0, 5] = Y[5, 0] = -1.0 / beta
@@ -213,10 +235,9 @@ def flagged_additive_noise(beta: float) -> GaussianChannel:
     kick applied to the signal, so the flags record which displacement
     occurred. The capacity of this map upper-bounds the additive channel's.
     """
-    if not 0.0 < beta < math.inf:
-        raise _domain_error("beta > 0", beta=beta)
+    variance = _added_variance(beta)
     X = np.vstack([np.eye(2), np.zeros((4, 2))])
-    flag = squeezed_vacuum_cov(2.0 / beta)
+    flag = squeezed_vacuum_cov(variance)
     Y = flagged_mixing_matrix(beta) + direct_sum(np.zeros((2, 2)), flag, flag)
     return GaussianChannel(X, Y, "flagged_additive", (beta,))
 
@@ -313,7 +334,12 @@ def phase_insensitive_family(params: PhaseInsensitiveParams) -> tuple[str, tuple
     constructor takes them. tau within ISO_TOL of 1 is additive noise, and
     the identity when y is also within ISO_TOL of 0.
     """
-    tau, y = params.tau, params.y
+    return _family_of(params.tau, params.y)
+
+
+def _family_of(tau: float, y: float) -> tuple[str, tuple]:
+    """phase_insensitive_family on plain floats (the decomposition scan's
+    inner loop calls it without building PhaseInsensitiveParams)."""
     if abs(tau - 1.0) <= ISO_TOL:
         if y <= ISO_TOL:
             return "identity", ()

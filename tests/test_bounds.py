@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from gausscap.bounds import (
+    DECOMPOSITION_GAIN_MAX,
     FAMILIES,
     MAX_GRID_POINTS,
     InfeasibleDecompositionError,
@@ -29,7 +30,7 @@ from gausscap.bounds import (
     combined_decomposition_bound,
     golden_section_minimize,
 )
-from gausscap.bounds import _direct_upper_bound
+from gausscap.bounds import _direct_upper_bound, _gain_limit, _stage_pair
 from gausscap.channels import (
     ParamDomainError,
     PhaseInsensitiveParams,
@@ -185,7 +186,7 @@ def test_decomposition_and_channels_agree_on_family(tau, y, family):
     assert name == family
     assert from_phase_insensitive(target).family == family
     params = dict(zip(FAMILIES[family].params, args))
-    assert _direct_upper_bound(target) == bounds_report(family, **params).combined
+    assert _direct_upper_bound(tau, y) == bounds_report(family, **params).combined
 
 
 # mpmath at 60 digits of attenuator_extension(0.8, 1e10) at those doubles.
@@ -216,9 +217,26 @@ def test_additive_factor_overflow_is_a_domain_error():
     with pytest.raises(ParamDomainError, match="beta=5e-309"):
         bounds_additive(5e-309)  # 1/beta overflows
     with pytest.raises(ParamDomainError, match=r"g=1e\+200, N=1e\+200"):
-        bounds_amplifier(1e200, 1e200)  # (g - 1) N overflows
+        beta_tilde(1e200, 1e200)  # (g - 1) N overflows
     with pytest.raises(ParamDomainError, match=r"g=1\.0000001, N=1e-310"):
-        amplifier_plob(1.0000001, 1e-310)  # beta_tilde overflows
+        amplifier_naj(1.0000001, 1e-310)  # beta_tilde overflows
+    with pytest.raises(ParamDomainError, match=r"g=1\.0000001, N=1e-310"):
+        amplifier_flagged_extension(1.0000001, 1e-310)
+    with pytest.raises(ParamDomainError, match=r"g=1\.5, N=1e\+308"):
+        bounds_amplifier(1.5, 1e308)  # 2N + 1 overflows in lower and plob
+
+
+@pytest.mark.parametrize("g, N", [(1.000000000000001, 1e-300), (1e200, 1e200)])
+def test_amplifier_report_without_additive_factor(g, N):
+    # beta_tilde = 1/((g - 1) N) over- or underflows: only the two rows routed
+    # through it stop applying, and lower and plob are still reported.
+    report = bounds_amplifier(g, N)
+    assert not report["naj"].applicable and not report["extension"].applicable
+    assert report["lower"].applicable and report["plob"].applicable
+    assert math.isfinite(report["lower"].raw)
+    assert report.combined == report["plob"].clamped
+    assert math.isfinite(report.combined)
+    assert report.lower.clamped <= report.combined
 
 
 _PHOTONS = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
@@ -365,6 +383,81 @@ def test_combined_bound_identity_target_infeasible():
     # The identity channel has no finite upper bound to process through.
     with pytest.raises(InfeasibleDecompositionError):
         combined_decomposition_bound(PhaseInsensitiveParams(1.0, 0.0), grid=10)
+
+
+def _attenuator_target(eta, N):
+    return PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
+
+
+def _amplifier_target(g, N):
+    return PhaseInsensitiveParams(g, (g - 1.0) * (2.0 * N + 1.0))
+
+
+# Value and witness (kind, allocation, stage1 tau and y, stage2 tau and y) of
+# the default scan, frozen from the scan that evaluated every grid candidate.
+_PINNED_DECOMPOSITIONS = [
+    (_attenuator_target(0.69, 0.05), 1.0446881690278012, "amplifier_first", "min_noise_first",
+     (1.0155563398996605, 0.015556339899660543, 0.6794305474654155, 0.3304305474654156)),
+    # the bench ledger's point
+    (_attenuator_target(0.696, 0.2), 0.8001051829782155, "amplifier_first", "min_noise_first",
+     (1.0059759795588814, 0.005975979558881406, 0.691865426354608, 0.42146542635460815)),
+    # t = eta - N(1 - eta) < 0, so every gain of the grid is feasible
+    (_attenuator_target(0.3, 1.0), 0.0, "amplifier_first", "min_noise_last",
+     (1.0001003068068068, 4.667034458291624, 0.2999699109760918, 0.7000300890239082)),
+    (_amplifier_target(1.05, 0.01), 4.312083908253085, "direct", "", None),
+    (_amplifier_target(1.5, 0.1), 1.1600120651796073, "direct", "", None),
+    (_amplifier_target(1.6, 0.8), 0.11547721741993469, "amplifier_first", "min_noise_first",
+     (2.615750981802074, 1.615750981802074, 0.6116790211038013, 0.5716790211038016)),
+    (_attenuator_target(0.8, 0.0), 2.0000000000000004, "direct", "", None),  # pure loss
+    # zero capacity: the direct bound is already 0
+    (_amplifier_target(2.0, 1.0), 0.0, "direct", "", None),
+]
+
+
+@pytest.mark.parametrize("target, value, kind, allocation, stages", _PINNED_DECOMPOSITIONS)
+def test_combined_bound_pinned_outputs(target, value, kind, allocation, stages):
+    result = combined_decomposition_bound(target)
+    witness = result.witness
+    assert result.value == value
+    assert (witness.kind, witness.allocation) == (kind, allocation)
+    if stages is None:
+        assert witness.stage1 is None and witness.stage2 is None
+    else:
+        s1, s2 = witness.stage1, witness.stage2
+        assert (s1.tau, s1.y, s2.tau, s2.y) == stages
+
+
+def _random_targets(seed, count):
+    rng = np.random.default_rng(seed)
+    targets = []
+    for _ in range(count):
+        N = 10.0 ** rng.uniform(-3.0, 1.0)
+        targets.append(_attenuator_target(rng.uniform(0.05, 0.99), N))
+        targets.append(_amplifier_target(10.0 ** rng.uniform(0.005, 1.0), N))
+    return targets
+
+
+@pytest.mark.parametrize("target", _random_targets(7, 20))
+def test_gain_limits_match_the_cp_test(target):
+    lowest = max(1.0, target.tau) * (1.0 + 1e-4)  # the scan's gain range
+    highest = max(1.0, target.tau) * DECOMPOSITION_GAIN_MAX
+    for kind in ("amplifier_first", "amplifier_last"):
+        limit = _gain_limit(target, kind)
+        top = min(limit * (1.0 - 1e-9), highest)
+        feasible = np.geomspace(lowest, top, 12) if top > lowest else []
+        beyond = [] if math.isinf(limit) else limit * (1.0 + 1e-6) * np.geomspace(1.0, 100.0, 12)
+        for allocation in ("min_noise_first", "min_noise_last"):
+            assert all(_stage_pair(target, g, kind, allocation) is not None for g in feasible)
+            assert all(_stage_pair(target, g, kind, allocation) is None for g in beyond)
+
+
+def test_gain_limits_of_an_attenuator():
+    eta, N = 0.7, 0.3
+    t = eta - N * (1.0 - eta)  # rosati's transmissivity
+    target = _attenuator_target(eta, N)
+    assert _gain_limit(target, "amplifier_first") == pytest.approx(eta / t, rel=1e-11)
+    assert _gain_limit(target, "amplifier_last") == pytest.approx(1.0 + N * (1.0 - eta), rel=1e-15)
+    assert math.isinf(_gain_limit(_attenuator_target(0.3, 1.0), "amplifier_first"))  # t < 0
 
 
 def test_closed_form_domain_errors():

@@ -105,6 +105,25 @@ def test_constructors_reject_non_finite_parameters(make, name, value):
         make(value)
 
 
+@pytest.mark.parametrize(
+    "make, args, named",
+    [
+        (amplifier, (1e200, 1e200), r"g=1e\+200, N=1e\+200"),  # (g - 1)(2N + 1)
+        (attenuator, (0.5, 1e308), r"eta=0\.5, N=1e\+308"),  # (1 - eta)(2N + 1)
+        (additive_noise, (1e-310,), "beta=1e-310"),  # 2/beta
+        (flagged_additive_noise, (1e-309,), "beta=1e-309"),  # 2/beta
+        (flagged_mixing_matrix, (1e-309,), "beta=1e-309"),
+        (extended_attenuator, (0.8, 1e308), r"eta=0\.8, N=1e\+308"),  # N(N + 1)
+        (extended_attenuator_pair, (0.8, 1e200), r"eta=0\.8, N=1e\+200"),
+    ],
+)
+def test_constructors_reject_overflowing_terms(make, args, named):
+    # Finite parameters whose noise or mixing term overflows are named before
+    # any matrix holds inf or NaN (RuntimeWarnings are errors under pytest).
+    with pytest.raises(ParamDomainError, match=f"finite, got {named}$"):
+        make(*args)
+
+
 @pytest.mark.parametrize("beta,M", [(1.0, 1.0), (2.0, 3.0)])
 def test_flagged_channel_reproduces_reference_thermal_output(beta, M):
     out = apply(flagged_additive_noise(beta), thermal_state(M))

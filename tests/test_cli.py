@@ -272,6 +272,20 @@ def test_oracle_non_finite_parameter_exit_code(capsys, argv, name):
     assert f"error: {name} must be finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--flagged", "--beta", "1e-309"], "beta=1e-309"),
+        (["--extended-attenuator", "--eta", "0.8", "--n", "1e308"], "eta=0.8, N=1e+308"),
+    ],
+)
+def test_oracle_overflowing_parameter_exit_code(capsys, argv, named):
+    code, out, err = run_cli(capsys, "oracle", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need ") and f"finite, got {named}" in err
+
+
 def test_oracle_divergence_is_a_domain_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--identity", "--m", "1e6")
     assert code == 2
