@@ -11,6 +11,7 @@ be negative, the clamped value max(raw, 0) is what bounds the capacity.
 
 import bisect
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -148,8 +149,13 @@ def beta_tilde(g: float, N: float) -> float:
 
 
 def amplifier_naj(g: float, N: float) -> float:
-    """Raw data-processing bound through the additive factor."""
-    return additive_naj(beta_tilde(g, N))
+    """Raw data-processing bound through the additive factor; -inf where
+    (g - 1) N >= 1, since there beta_tilde <= 1, even where (g - 1) N
+    overflows and beta_tilde is not formed."""
+    if (g - 1.0) * N < 1.0:  # NaN fails this too, and beta_tilde rejects it
+        return additive_naj(beta_tilde(g, N))
+    _check_amp(g, N)
+    return -math.inf
 
 
 def amplifier_flagged_extension(g: float, N: float) -> float:
@@ -157,7 +163,14 @@ def amplifier_flagged_extension(g: float, N: float) -> float:
     return additive_flagged_extension(beta_tilde(g, N))
 
 
+# Below this N no term of lower or plob overflows in either family, since
+# log2(g) <= 1024 and |log2(eta)| <= 1074 for every positive finite float.
+_SAFE_N = sys.float_info.max / 1100.0
+
+
 def _check_amp(g: float, N: float):
+    if 1.0 < g < math.inf and 0.0 <= N < _SAFE_N:
+        return
     if not (1.0 < g < math.inf and 0.0 <= N < math.inf):
         raise _domain_error("g > 1 and N >= 0", g=g, N=N)
     if not (N + 1.0) * math.log2(g) + 2.0 * N < math.inf:  # the terms of lower and plob
@@ -168,11 +181,19 @@ def _has_additive_factor(g: float, N: float) -> bool:
     """Whether beta_tilde = 1/((g - 1) N) exists as a positive finite float.
 
     It is undefined at N = 0, and (g - 1) N or its reciprocal overflows at
-    extreme (g, N); there only the rows routed through the additive factor
-    (naj, extension) do not apply, and lower and plob are still reported.
+    extreme (g, N); there the extension does not apply, nor naj unless
+    (g - 1) N overflows (see `_has_naj`), and lower and plob are still
+    reported.
     """
     gn = (g - 1.0) * N
     return 0.0 < gn < math.inf and 1.0 / gn < math.inf
+
+
+def _has_naj(g: float, N: float) -> bool:
+    """Whether naj applies: as `_has_additive_factor`, but also where
+    (g - 1) N overflows, since naj is -inf for any (g - 1) N >= 1."""
+    gn = (g - 1.0) * N
+    return 0.0 < gn and 1.0 / gn < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +244,13 @@ def attenuator_extension(eta: float, N: float) -> float:
 
 
 def _check_att(eta: float, N: float):
+    if 0.0 < eta < 1.0 and 0.0 <= N < _SAFE_N:
+        return
     if not (0.0 < eta < 1.0 and 0.0 <= N < math.inf):
         raise _domain_error("0 < eta < 1 and N >= 0", eta=eta, N=N)
+    # the terms of lower and plob
+    if not (2.0 * N + 1.0 < math.inf and N * math.log2(eta) > -math.inf):
+        raise _domain_error("2N + 1 and N log2(eta) finite", eta=eta, N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +294,14 @@ def _additive_factor_note(text: str):
     """Note for an amplifier row that routes through the additive factor."""
 
     def note(applies: bool, g: float, N: float) -> str:
-        if applies:
-            return f"{text} (beta={beta_tilde(g, N):.6g})"
-        if N == 0.0:
-            return "additive-factor route undefined at N = 0"
-        return "additive-factor route undefined: 1/((g - 1) N) is not a positive finite float"
+        if not applies:
+            if N == 0.0:
+                return "additive-factor route undefined at N = 0"
+            return "additive-factor route undefined: 1/((g - 1) N) is not a positive finite float"
+        gn = (g - 1.0) * N
+        if gn < math.inf:  # the row applies, so 1/gn is beta_tilde
+            return f"{text} (beta={1.0 / gn:.6g})"
+        return f"{text} (beta < 1: (g - 1) N overflows)"
 
     return note
 
@@ -303,7 +332,7 @@ FAMILIES = {
             BoundRow(
                 "naj",
                 amplifier_naj,
-                _has_additive_factor,
+                _has_naj,
                 _additive_factor_note("data processing through the additive factor"),
             ),
             BoundRow("plob", amplifier_plob, note=_PLOB_NOTE),
@@ -404,6 +433,22 @@ class BoundReport:
         }
 
 
+def _row_values(fam: BoundFamily, args) -> tuple:
+    """Each row of `fam` evaluated at `args`, in table order, as
+    (applies, raw), and the minimum raw over the applicable upper rows (inf
+    if none). This one loop feeds both the reports and the figure columns."""
+    fam.check(*args)
+    values = []
+    best = math.inf
+    for row in fam.rows:
+        applies = row.applies is None or row.applies(*args)
+        raw = row.formula(*args) if applies or row.defined_everywhere else math.nan
+        values.append((applies, raw))
+        if applies and row is not fam.lower and raw < best:  # NaN never compares less
+            best = raw
+    return values, best
+
+
 def bounds_report(family: str, **params) -> BoundReport:
     """Every bound in one family's table, named by row, plus "combined": the
     minimum over the applicable upper bounds, clamped at zero."""
@@ -411,16 +456,11 @@ def bounds_report(family: str, **params) -> BoundReport:
     if fam is None:
         raise ParamDomainError(f"unknown channel family {family!r}")
     args = [params[name] for name in fam.params]
-    fam.check(*args)
+    values, best = _row_values(fam, args)
     entries = {}
-    best = math.inf
-    for row in fam.rows:
-        applies = row.applies is None or row.applies(*args)
-        raw = row.formula(*args) if applies or row.defined_everywhere else math.nan
+    for row, (applies, raw) in zip(fam.rows, values):
         note = row.note if isinstance(row.note, str) else row.note(applies, *args)
         entries[row.name] = BoundEntry(raw, applies, note)
-        if applies and row is not fam.lower and raw < best:  # NaN never compares less
-            best = raw
     entries["combined"] = BoundEntry(
         max(best, 0.0), True, "minimum over the applicable upper bounds"
     )

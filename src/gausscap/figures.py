@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import MAX_GRID_POINTS, bounds_report, combined_decomposition_bound
+from .bounds import FAMILIES, MAX_GRID_POINTS, _row_values, combined_decomposition_bound
 from .channels import ParamDomainError, PhaseInsensitiveParams
 
 __all__ = [
@@ -53,18 +53,13 @@ class FigureSeries:
                     f"{len(self.x_values)} grid points"
                 )
 
-    def rows(self):
-        for i, x in enumerate(self.x_values):
-            yield [x] + [col[i] for col in self.columns.values()]
-
     def column(self, name: str) -> list:
         return self.columns[name]
 
 
-def _cell(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return ""
-    return f"{value:.12g}"
+def _cells(values) -> list:
+    """CSV cells of one column: 12 significant digits, empty for None/NaN."""
+    return ["" if v is None or v != v else format(v, ".12g") for v in values]
 
 
 def write_csv(series: FigureSeries, path) -> None:
@@ -73,8 +68,8 @@ def write_csv(series: FigureSeries, path) -> None:
     for key, value in series.metadata.items():
         lines.append(f"# {key}: {value}")
     lines.append(",".join([series.x_name] + list(series.columns)))
-    for row in series.rows():
-        lines.append(",".join(_cell(v) for v in row))
+    columns = [_cells(series.x_values)] + [_cells(col) for col in series.columns.values()]
+    lines.extend(map(",".join, zip(*columns)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -88,28 +83,30 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
 
 
 def _bound_columns(family: str, points) -> dict:
-    """Clamped value of every report entry at each parameter point, None where
-    the entry does not apply."""
-    columns = {}
-    for params in points:
-        for name, entry in bounds_report(family, **params).entries.items():
-            columns.setdefault(name, []).append(
-                entry.clamped if entry.applicable else None
-            )
-    return columns
+    """Clamped value of every bound row, then "combined", at each parameter
+    tuple: the cells of `bounds_report`'s entries, None where a row does not
+    apply."""
+    fam = FAMILIES[family]
+    cells = []
+    for args in points:
+        values, best = _row_values(fam, args)
+        clamped = [max(raw, 0.0) if applies else None for applies, raw in values]
+        cells.append(clamped + [max(best, 0.0)])
+    names = [row.name for row in fam.rows] + ["combined"]
+    return dict(zip(names, map(list, zip(*cells))))
 
 
 def fig1_series(x_min: float = 0.02, x_max: float = 0.7, step: float = 0.005):
     """Additive Gaussian noise bounds against inverse beta (noise variance)."""
-    xs = _grid(x_min, x_max, step)
-    columns = _bound_columns("additive", [{"beta": 1.0 / x} for x in xs])
+    xs = _grid(x_min, x_max, step).tolist()
+    columns = _bound_columns("additive", [(1.0 / x,) for x in xs])
     meta = {
         "x": "inverse beta (added noise variance / 2)",
         "grid": f"[{x_min:g}, {x_max:g}] step {step:g}",
         "values": "clamped bound values in bits",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries("fig1", "inverse_beta", [float(x) for x in xs], columns, meta)
+    return FigureSeries("fig1", "inverse_beta", xs, columns, meta)
 
 
 def fig2_series(
@@ -121,8 +118,8 @@ def fig2_series(
     """Thermal amplifier bounds against the gain, log-spaced in gain - 1."""
     if not 2 <= points <= MAX_GRID_POINTS or g_max <= 1.0 + g_offset_min:
         raise ParamDomainError(f"need 2 <= points <= {MAX_GRID_POINTS}, g_max > 1 + g_offset_min")
-    gains = 1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)
-    columns = _bound_columns("amplifier", [{"g": float(g), "N": N} for g in gains])
+    gains = (1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)).tolist()
+    columns = _bound_columns("amplifier", [(g, N) for g in gains])
     meta = {
         "x": "amplifier gain",
         "N": f"{N:g}",
@@ -131,20 +128,20 @@ def fig2_series(
         "values": "clamped bound values in bits",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries("fig2", "gain", [float(g) for g in gains], columns, meta)
+    return FigureSeries("fig2", "gain", gains, columns, meta)
 
 
 def _attenuator_ratio_columns(etas, N, grid: int | None = None) -> dict:
     """Lower bound, then each attenuator upper row as a ratio to it; with a
     decomposition grid, the decomposition-combined bound as one more ratio."""
+    fam = FAMILIES["attenuator"]
     columns = {}
     for eta in etas:
-        eta = float(eta)
-        report = bounds_report("attenuator", eta=eta, N=N)
-        low = report.lower.clamped
+        values, _ = _row_values(fam, (eta, N))
+        low = max(values[0][1], 0.0)
         uppers = {
-            name: entry.clamped if entry.applicable else None
-            for name, entry in report.upper_entries().items()
+            row.name: max(raw, 0.0) if applies else None
+            for row, (applies, raw) in zip(fam.upper_rows, values[1:])
         }
         if grid is not None:
             target = PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
@@ -168,7 +165,7 @@ def fig3_series(
     step: float = 0.0025,
 ):
     """Thermal attenuator upper bounds as ratios to the lower bound."""
-    etas = _grid(eta_min, eta_max, step)
+    etas = _grid(eta_min, eta_max, step).tolist()
     columns = _attenuator_ratio_columns(etas, N)
     meta = {
         "x": "attenuator transmissivity",
@@ -178,9 +175,7 @@ def fig3_series(
         "bound, empty where the lower bound vanishes",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries(
-        "fig3", "transmissivity", [float(e) for e in etas], columns, meta
-    )
+    return FigureSeries("fig3", "transmissivity", etas, columns, meta)
 
 
 def fig3_inset_series(
@@ -192,7 +187,7 @@ def fig3_inset_series(
 ):
     """Close-up of the attenuator figure around the bound crossing, with the
     decomposition-combined bound added."""
-    etas = _grid(eta_min, eta_max, step)
+    etas = _grid(eta_min, eta_max, step).tolist()
     columns = _attenuator_ratio_columns(etas, N, grid)
     meta = {
         "x": "attenuator transmissivity",
@@ -203,9 +198,7 @@ def fig3_inset_series(
         "bound, empty where the lower bound vanishes",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries(
-        "fig3-inset", "transmissivity", [float(e) for e in etas], columns, meta
-    )
+    return FigureSeries("fig3-inset", "transmissivity", etas, columns, meta)
 
 
 def build_figure(figure_id: str, **overrides) -> FigureSeries:

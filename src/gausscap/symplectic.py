@@ -124,7 +124,8 @@ def bosonic_entropy(x: float) -> float:
 
     h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), evaluated for
     one float as (log1p(b) + b log1p(1/b)) / ln 2 with b = (x - 1)/2: both
-    terms are nonnegative, so nothing cancels at any x. h = 0 on [1 - 1e-10, 1].
+    terms are nonnegative, so nothing cancels at any x. h = 0 on [1 - 1e-10, 1]
+    and h(inf) = inf, its limit.
 
     Raises:
         EntropyDomainError: for x < 1 - 1e-10, and for NaN.
@@ -133,6 +134,8 @@ def bosonic_entropy(x: float) -> float:
         raise EntropyDomainError(f"argument {x} below 1")
     if x <= 1.0:
         return 0.0
+    if x == math.inf:
+        return x  # b log1p(1/b) would be inf * 0
     b = (x - 1.0) / 2.0
     return (math.log1p(b) + b * math.log1p(1.0 / b)) / LN2
 

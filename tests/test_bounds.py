@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,16 +227,44 @@ def test_additive_factor_overflow_is_a_domain_error():
         bounds_amplifier(1.5, 1e308)  # 2N + 1 overflows in lower and plob
 
 
-@pytest.mark.parametrize("g, N", [(1.000000000000001, 1e-300), (1e200, 1e200)])
+@pytest.mark.parametrize("g, N", [(1.000000000000001, 1e-300)])
 def test_amplifier_report_without_additive_factor(g, N):
-    # beta_tilde = 1/((g - 1) N) over- or underflows: only the two rows routed
-    # through it stop applying, and lower and plob are still reported.
+    # beta_tilde = 1/((g - 1) N) overflows: only the two rows routed through
+    # it stop applying, and lower and plob are still reported.
     report = bounds_amplifier(g, N)
     assert not report["naj"].applicable and not report["extension"].applicable
     assert report["lower"].applicable and report["plob"].applicable
     assert math.isfinite(report["lower"].raw)
     assert report.combined == report["plob"].clamped
     assert math.isfinite(report.combined)
+    assert report.lower.clamped <= report.combined
+
+
+def test_amplifier_naj_applies_where_additive_factor_overflows():
+    # (g - 1) N overflows, so beta_tilde is not a float; but (g - 1) N >= 1
+    # already puts beta_tilde <= 1, where naj is -inf and the capacity is 0.
+    report = bounds_amplifier(1e200, 1e200)
+    assert report["naj"].applicable and report["naj"].raw == -math.inf
+    assert "overflows" in report["naj"].note
+    assert not report["extension"].applicable
+    assert report["lower"].applicable and math.isfinite(report["lower"].raw)
+    assert report.combined == 0.0
+    assert amplifier_naj(1e200, 1e200) == -math.inf
+    assert amplifier_naj(3.0, 0.5) == additive_naj(1.0) == -math.inf  # (g - 1) N = 1
+
+
+@pytest.mark.parametrize("eta, N", [(0.5, 9e307), (1e-300, 1e306)])
+def test_attenuator_overflowing_terms_are_a_domain_error(eta, N):
+    # 2N + 1, or N log2(eta), overflows in lower and plob
+    for build in (bounds_attenuator, lambda eta, N: bounds_report("attenuator", eta=eta, N=N)):
+        with pytest.raises(ParamDomainError, match=re.escape(f"eta={eta}, N={N}")):
+            build(eta, N)
+
+
+def test_attenuator_near_the_overflow_stays_finite():
+    report = bounds_attenuator(0.5, 8.9e307)
+    for name in ("lower", "plob", "combined"):
+        assert math.isfinite(report[name].raw), name
     assert report.lower.clamped <= report.combined
 
 

@@ -94,6 +94,7 @@ def test_bound_non_finite_parameter_exit_code(capsys, argv, name):
         ["--amplifier", "--g", "2", "--n", "0"],
         ["--attenuator", "--eta", "0.3", "--n", "1"],
         ["--additive", "--beta", "0.5"],
+        ["--amplifier", "--g", "1e200", "--n", "1e200"],
     ],
 )
 def test_bound_json_is_strict(capsys, argv):
@@ -110,6 +111,33 @@ def test_bound_json_is_strict(capsys, argv):
         if entry[key] is None
     ]
     assert nulls
+
+
+def test_bound_amplifier_naj_without_beta_tilde(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--amplifier", "--g", "1e200", "--n", "1e200")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert entries["naj"] == {
+        "raw": None,  # -inf
+        "clamped": 0.0,
+        "applicable": True,
+        "note": "data processing through the additive factor (beta < 1: (g - 1) N overflows)",
+    }
+    assert entries["combined"]["clamped"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--attenuator", "--eta", "0.5", "--n", "1e308"],
+        ["--attenuator", "--eta", "1e-300", "--n", "1e306"],
+    ],
+)
+def test_bound_overflowing_parameter_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: need 2N + 1 and N log2(eta) finite, got eta=")
 
 
 def test_figure_fig1_contents_and_determinism(tmp_path, capsys):

@@ -1,0 +1,75 @@
+import hashlib
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from gausscap.bounds import bounds_report
+from gausscap.cli import main
+from gausscap.figures import fig1_series, fig2_series, fig3_series
+
+_PHOTONS = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
+
+
+def _report_cells(series, family, params_at):
+    """Each column of `series` as `bounds_report` gives it: the entry's
+    clamped value, None where the entry does not apply."""
+    reports = [bounds_report(family, **params_at(x)) for x in series.x_values]
+    return {
+        name: [r[name].clamped if r[name].applicable else None for r in reports]
+        for name in series.columns
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(1e-3, 5.0), st.integers(0, 12), st.floats(1e-3, 0.5))
+def test_fig1_sweep_equals_report(x_min, steps, step):
+    series = fig1_series(x_min=x_min, x_max=x_min + steps * step, step=step)
+    assert series.columns == _report_cells(series, "additive", lambda x: {"beta": 1.0 / x})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PHOTONS, st.floats(-6.0, 0.0), st.floats(1.5, 1e3), st.integers(2, 12))
+@example(0.0, -3.0, 200.0, 5)
+def test_fig2_sweep_equals_report(N, log_offset, spread, points):
+    offset = 10.0**log_offset
+    series = fig2_series(N=N, g_offset_min=offset, g_max=1.0 + offset * spread, points=points)
+    assert series.columns == _report_cells(series, "amplifier", lambda g: {"g": g, "N": N})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PHOTONS, st.floats(0.01, 0.98), st.integers(0, 12), st.floats(1e-3, 0.1))
+@example(0.0, 0.3, 6, 0.05)
+@example(5.0, 0.7, 6, 0.05)
+def test_fig3_sweep_equals_report_ratios(N, eta_min, steps, step):
+    # eta <= 1/2 (extension inapplicable) and t = eta - N(1 - eta) <= 0
+    # (rosati inapplicable) are both inside these ranges
+    steps = min(steps, int((0.999 - eta_min) / step))  # the grid stays below 1
+    eta_max = eta_min + steps * step
+    series = fig3_series(N=N, eta_min=eta_min, eta_max=eta_max, step=step)
+    reports = [bounds_report("attenuator", eta=eta, N=N) for eta in series.x_values]
+    lows = [r.lower.clamped for r in reports]
+    assert series.column("lower") == lows
+    for name in ("plob", "rosati", "extension"):
+        expected = [
+            r[name].clamped / low if r[name].applicable and low > 0.0 else None
+            for r, low in zip(reports, lows)
+        ]
+        assert series.column(name) == expected, name
+
+
+# SHA-256 of `gausscap figure <id>` at default arguments, generator line
+# included; a change to any cell, to the header or to the version moves it.
+_FIGURE_SHA256 = {
+    "fig1": "22fc0277c0ef2d407058e33f2daedc489b71c77440e56a8054686b794e809281",
+    "fig2": "515a23a0421a4c8b940f003503d0b23c4f41135de58ddec269eef27b021f8242",
+    "fig3": "eb39b2378fc0e85fed1609fca8a5091d362a458e9c01c19d1da8786fa90bec59",
+    "fig3-inset": "1058b207bd51b1507a8189807991f06f8bb186c437f5fd1d8f462fcbc9a4ee0e",
+}
+
+
+@pytest.mark.parametrize("figure_id", sorted(_FIGURE_SHA256))
+def test_default_figure_csv_bytes_are_frozen(figure_id, tmp_path, capsys):
+    path = tmp_path / f"{figure_id}.csv"
+    assert main(["figure", figure_id, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _FIGURE_SHA256[figure_id]

@@ -93,6 +93,7 @@ def test_bosonic_entropy_reference_points():
         1.0827388457776718182010542519145407980084212799738e-11, rel=1e-15, abs=0.0
     )
     assert bosonic_entropy(3.0) == pytest.approx(2.0, abs=1e-14)
+    assert bosonic_entropy(math.inf) == math.inf
 
 
 # h(x) in bits at the double nearest each argument, from mpmath at 60 digits
