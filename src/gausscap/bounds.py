@@ -10,6 +10,7 @@ be negative, the clamped value max(raw, 0) is what bounds the capacity.
 """
 
 import bisect
+import functools
 import math
 import sys
 from collections.abc import Callable
@@ -83,37 +84,27 @@ class InfeasibleDecompositionError(RuntimeError):
     """No completely positive two-stage decomposition found on the grid."""
 
 
+def _checked_by(check):
+    """Decorator making a public closed form from an unchecked core: the
+    public function runs its family's domain `check` on the same arguments
+    first. The core stays reachable as `.core`; the table rows hold it, since
+    their callers (`_row_values`, `_direct_upper_bound`) check a point once."""
+
+    def public(core):
+        @functools.wraps(core)
+        def closed_form(*args, **kwargs):
+            check(*args, **kwargs)
+            return core(*args, **kwargs)
+
+        closed_form.core = core
+        return closed_form
+
+    return public
+
+
 # ---------------------------------------------------------------------------
 # Closed forms: additive Gaussian noise (inverse temperature beta)
 # ---------------------------------------------------------------------------
-
-
-def additive_lower(beta: float) -> float:
-    """Raw one-shot coherent information on an infinite-temperature input."""
-    _check_beta(beta)
-    return math.log2(beta) - 1.0 / LN2
-
-
-def additive_naj(beta: float) -> float:
-    """Raw data-processing bound log2(beta - 1); -inf where it clamps to 0."""
-    _check_beta(beta)
-    return math.log2(beta - 1.0) if beta > 1.0 else float("-inf")
-
-
-def additive_plob(beta: float) -> float:
-    """Two-way assisted capacity bound for additive Gaussian noise."""
-    _check_beta(beta)
-    return math.log2(beta) - 1.0 / LN2 + 1.0 / (beta * LN2)
-
-
-def additive_flagged_extension(beta: float) -> float:
-    """Capacity of the degradable flagged extension of additive noise."""
-    _check_beta(beta)
-    return (
-        math.log2(beta)
-        - 1.0 / LN2
-        + 2.0 * bosonic_entropy(math.hypot(1.0, 1.0 / beta))
-    )
 
 
 def _check_beta(beta: float):
@@ -121,46 +112,37 @@ def _check_beta(beta: float):
         raise _domain_error("beta > 0 with a finite 1/beta", beta=beta)
 
 
+@_checked_by(_check_beta)
+def additive_lower(beta: float) -> float:
+    """Raw one-shot coherent information on an infinite-temperature input."""
+    return math.log2(beta) - 1.0 / LN2
+
+
+@_checked_by(_check_beta)
+def additive_naj(beta: float) -> float:
+    """Raw data-processing bound log2(beta - 1); -inf where it clamps to 0."""
+    return math.log2(beta - 1.0) if beta > 1.0 else float("-inf")
+
+
+@_checked_by(_check_beta)
+def additive_plob(beta: float) -> float:
+    """Two-way assisted capacity bound for additive Gaussian noise."""
+    return math.log2(beta) - 1.0 / LN2 + 1.0 / (beta * LN2)
+
+
+@_checked_by(_check_beta)
+def additive_flagged_extension(beta: float) -> float:
+    """Capacity of the degradable flagged extension of additive noise."""
+    return (
+        math.log2(beta)
+        - 1.0 / LN2
+        + 2.0 * bosonic_entropy(math.hypot(1.0, 1.0 / beta))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Closed forms: thermal amplifier (gain g, environment photon number N)
 # ---------------------------------------------------------------------------
-
-
-def amplifier_lower(g: float, N: float) -> float:
-    """Raw one-shot coherent information on an infinite-temperature input."""
-    _check_amp(g, N)
-    return math.log2(g / (g - 1.0)) - bosonic_entropy(2.0 * N + 1.0)
-
-
-def amplifier_plob(g: float, N: float) -> float:
-    """Two-way assisted capacity bound for the thermal amplifier."""
-    _check_amp(g, N)
-    return (N + 1.0) * math.log2(g) - math.log2(g - 1.0) - bosonic_entropy(2.0 * N + 1.0)
-
-
-def beta_tilde(g: float, N: float) -> float:
-    """Inverse temperature of the additive factor in amplifier = additive o
-    quantum-limited amplifier; defined for g > 1 and N > 0 where it is a
-    positive finite float."""
-    _check_amp(g, N)
-    if not _has_additive_factor(g, N):
-        raise _domain_error("(g - 1) N and its reciprocal positive and finite", g=g, N=N)
-    return 1.0 / ((g - 1.0) * N)
-
-
-def amplifier_naj(g: float, N: float) -> float:
-    """Raw data-processing bound through the additive factor; -inf where
-    (g - 1) N >= 1, since there beta_tilde <= 1, even where (g - 1) N
-    overflows and beta_tilde is not formed."""
-    if (g - 1.0) * N < 1.0:  # NaN fails this too, and beta_tilde rejects it
-        return additive_naj(beta_tilde(g, N))
-    _check_amp(g, N)
-    return -math.inf
-
-
-def amplifier_flagged_extension(g: float, N: float) -> float:
-    """Flagged-extension bound applied to the additive factor."""
-    return additive_flagged_extension(beta_tilde(g, N))
 
 
 # Below this N no term of lower or plob overflows in either family, since
@@ -175,6 +157,47 @@ def _check_amp(g: float, N: float):
         raise _domain_error("g > 1 and N >= 0", g=g, N=N)
     if not (N + 1.0) * math.log2(g) + 2.0 * N < math.inf:  # the terms of lower and plob
         raise _domain_error("(N + 1) log2(g) + 2N finite", g=g, N=N)
+
+
+@_checked_by(_check_amp)
+def amplifier_lower(g: float, N: float) -> float:
+    """Raw one-shot coherent information on an infinite-temperature input."""
+    return math.log2(g / (g - 1.0)) - bosonic_entropy(2.0 * N + 1.0)
+
+
+@_checked_by(_check_amp)
+def amplifier_plob(g: float, N: float) -> float:
+    """Two-way assisted capacity bound for the thermal amplifier."""
+    return (N + 1.0) * math.log2(g) - math.log2(g - 1.0) - bosonic_entropy(2.0 * N + 1.0)
+
+
+@_checked_by(_check_amp)
+def beta_tilde(g: float, N: float) -> float:
+    """Inverse temperature of the additive factor in amplifier = additive o
+    quantum-limited amplifier; defined for g > 1 and N > 0 where it is a
+    positive finite float."""
+    if not _has_additive_factor(g, N):
+        raise _domain_error("(g - 1) N and its reciprocal positive and finite", g=g, N=N)
+    return 1.0 / ((g - 1.0) * N)
+
+
+_beta_tilde = beta_tilde.core  # for the amplifier cores below, whose (g, N) is checked
+
+
+@_checked_by(_check_amp)
+def amplifier_naj(g: float, N: float) -> float:
+    """Raw data-processing bound through the additive factor; -inf where
+    (g - 1) N >= 1, since there beta_tilde <= 1, even where (g - 1) N
+    overflows and beta_tilde is not formed."""
+    if (g - 1.0) * N < 1.0:
+        return additive_naj(_beta_tilde(g, N))
+    return -math.inf
+
+
+@_checked_by(_check_amp)
+def amplifier_flagged_extension(g: float, N: float) -> float:
+    """Flagged-extension bound applied to the additive factor."""
+    return additive_flagged_extension(_beta_tilde(g, N))
 
 
 def _has_additive_factor(g: float, N: float) -> bool:
@@ -201,48 +224,6 @@ def _has_naj(g: float, N: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def attenuator_lower(eta: float, N: float) -> float:
-    """Raw one-shot coherent information on an infinite-temperature input."""
-    _check_att(eta, N)
-    return math.log2(eta / (1.0 - eta)) - bosonic_entropy(2.0 * N + 1.0)
-
-
-def attenuator_plob(eta: float, N: float) -> float:
-    """Two-way assisted capacity bound for the thermal attenuator."""
-    _check_att(eta, N)
-    return (
-        -math.log2(1.0 - eta)
-        - N * math.log2(eta)
-        - bosonic_entropy(2.0 * N + 1.0)
-    )
-
-
-def attenuator_rosati(eta: float, N: float) -> float | None:
-    """Weak-degradability bound via a zero-temperature attenuator of
-    transmissivity eta - N(1-eta); None where that transmissivity is not
-    positive."""
-    _check_att(eta, N)
-    t = eta - N * (1.0 - eta)
-    if t <= 0.0:
-        return None
-    return math.log2(t / ((N + 1.0) * (1.0 - eta)))
-
-
-def attenuator_extension(eta: float, N: float) -> float:
-    """Capacity of the degradable two-mode extension of the attenuator.
-
-    Valid as a capacity (and hence as a bound on the attenuator) for
-    eta > 1/2, where the extension is degradable; the formula itself is
-    defined on all of (0, 1).
-    """
-    _check_att(eta, N)
-    return (
-        math.log2(eta / (1.0 - eta))
-        + bosonic_entropy((1.0 - eta) * (2.0 * N + 1.0) + eta)
-        - bosonic_entropy(eta * (2.0 * N + 1.0) + 1.0 - eta)
-    )
-
-
 def _check_att(eta: float, N: float):
     if 0.0 < eta < 1.0 and 0.0 <= N < _SAFE_N:
         return
@@ -251,6 +232,48 @@ def _check_att(eta: float, N: float):
     # the terms of lower and plob
     if not (2.0 * N + 1.0 < math.inf and N * math.log2(eta) > -math.inf):
         raise _domain_error("2N + 1 and N log2(eta) finite", eta=eta, N=N)
+
+
+@_checked_by(_check_att)
+def attenuator_lower(eta: float, N: float) -> float:
+    """Raw one-shot coherent information on an infinite-temperature input."""
+    return math.log2(eta / (1.0 - eta)) - bosonic_entropy(2.0 * N + 1.0)
+
+
+@_checked_by(_check_att)
+def attenuator_plob(eta: float, N: float) -> float:
+    """Two-way assisted capacity bound for the thermal attenuator."""
+    return (
+        -math.log2(1.0 - eta)
+        - N * math.log2(eta)
+        - bosonic_entropy(2.0 * N + 1.0)
+    )
+
+
+@_checked_by(_check_att)
+def attenuator_rosati(eta: float, N: float) -> float | None:
+    """Weak-degradability bound via a zero-temperature attenuator of
+    transmissivity eta - N(1-eta); None where that transmissivity is not
+    positive."""
+    t = eta - N * (1.0 - eta)
+    if t <= 0.0:
+        return None
+    return math.log2(t / ((N + 1.0) * (1.0 - eta)))
+
+
+@_checked_by(_check_att)
+def attenuator_extension(eta: float, N: float) -> float:
+    """Capacity of the degradable two-mode extension of the attenuator.
+
+    Valid as a capacity (and hence as a bound on the attenuator) for
+    eta > 1/2, where the extension is degradable; the formula itself is
+    defined on all of (0, 1).
+    """
+    return (
+        math.log2(eta / (1.0 - eta))
+        + bosonic_entropy((1.0 - eta) * (2.0 * N + 1.0) + eta)
+        - bosonic_entropy(eta * (2.0 * N + 1.0) + 1.0 - eta)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +285,8 @@ def _check_att(eta: float, N: float):
 class BoundRow:
     """One bound of a family, evaluated on the family's parameters in order.
 
+    `formula` is the unchecked core of the bound's public closed form: the
+    caller runs the family's `check` once per point, before any row.
     `applies` is the applicability predicate (None: the row always applies).
     Where a row does not apply its raw value is NaN, unless the formula is
     `defined_everywhere`; then its value is still reported, as inapplicable.
@@ -313,13 +338,13 @@ FAMILIES = {
     "additive": BoundFamily(
         ("beta",),
         _check_beta,
-        BoundRow("lower", additive_lower, note=_LOWER_NOTE),
+        BoundRow("lower", additive_lower.core, note=_LOWER_NOTE),
         (
-            BoundRow("naj", additive_naj, note="data processing, additive-noise route"),
-            BoundRow("plob", additive_plob, note=_PLOB_NOTE),
+            BoundRow("naj", additive_naj.core, note="data processing, additive-noise route"),
+            BoundRow("plob", additive_plob.core, note=_PLOB_NOTE),
             BoundRow(
                 "extension",
-                additive_flagged_extension,
+                additive_flagged_extension.core,
                 note="degradable flagged-extension capacity",
             ),
         ),
@@ -327,18 +352,18 @@ FAMILIES = {
     "amplifier": BoundFamily(
         ("g", "N"),
         _check_amp,
-        BoundRow("lower", amplifier_lower, note=_LOWER_NOTE),
+        BoundRow("lower", amplifier_lower.core, note=_LOWER_NOTE),
         (
             BoundRow(
                 "naj",
-                amplifier_naj,
+                amplifier_naj.core,
                 _has_naj,
                 _additive_factor_note("data processing through the additive factor"),
             ),
-            BoundRow("plob", amplifier_plob, note=_PLOB_NOTE),
+            BoundRow("plob", amplifier_plob.core, note=_PLOB_NOTE),
             BoundRow(
                 "extension",
-                amplifier_flagged_extension,
+                amplifier_flagged_extension.core,
                 _has_additive_factor,
                 _additive_factor_note("flagged-extension bound on the additive factor"),
             ),
@@ -347,18 +372,18 @@ FAMILIES = {
     "attenuator": BoundFamily(
         ("eta", "N"),
         _check_att,
-        BoundRow("lower", attenuator_lower, note=_LOWER_NOTE),
+        BoundRow("lower", attenuator_lower.core, note=_LOWER_NOTE),
         (
-            BoundRow("plob", attenuator_plob, note=_PLOB_NOTE),
+            BoundRow("plob", attenuator_plob.core, note=_PLOB_NOTE),
             BoundRow(
                 "rosati",
-                attenuator_rosati,
+                attenuator_rosati.core,
                 lambda eta, N: eta - N * (1.0 - eta) > 0.0,
                 "weak-degradability data processing to a pure-loss channel",
             ),
             BoundRow(
                 "extension",
-                attenuator_extension,
+                attenuator_extension.core,
                 lambda eta, N: eta > 0.5,
                 "degradable two-mode extension capacity (valid for eta > 1/2)",
                 defined_everywhere=True,
@@ -581,6 +606,7 @@ def _direct_upper_bound(tau: float, y: float) -> float:
     fam = FAMILIES.get(family)
     if fam is None:
         return math.inf  # identity stage carries no bound
+    fam.check(*args)
     best = math.inf
     for row in fam.upper_rows:
         if row.applies is None or row.applies(*args):

@@ -2,7 +2,8 @@
 
 A channel acts on means and covariances as m -> X m and V -> X V X^T + Y.
 Complete positivity of the map is certified numerically at construction from
-Y + i(Omega_out - X Omega_in X^T) >= 0.
+Y + i(Omega_out - X Omega_in X^T) >= 0, after one validation pass has found
+X and Y finite and Y symmetric.
 """
 
 import math
@@ -12,9 +13,11 @@ import numpy as np
 
 from .symplectic import (
     GaussianState,
+    NonFiniteError,
+    _forms,
+    _validated,
     direct_sum,
     squeezed_vacuum_cov,
-    symplectic_form,
     two_mode_squeezed_cov,
 )
 
@@ -105,8 +108,9 @@ class GaussianChannel:
             raise ValueError(f"bad moment-map shapes X{X.shape}, Y{Y.shape}")
         if Y.shape[0] != X.shape[0]:
             raise ValueError("Y dimension must match the output side of X")
-        if np.abs(Y - Y.T).max() > 1e-12 * max(1.0, np.abs(Y).max()):
-            raise ValueError("added-noise matrix Y must be symmetric")
+        if not np.isfinite(X).all():
+            raise NonFiniteError("moment-map matrix X must be finite")
+        Y = _validated(Y, "added-noise matrix Y")[0]
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         defect = self.cp_defect()
@@ -125,8 +129,8 @@ class GaussianChannel:
 
     def cp_defect(self) -> float:
         """Min eigenvalue of Y + i(Omega_out - X Omega_in X^T); >= 0 iff CP."""
-        omega_in = symplectic_form(self.n_in)
-        omega_out = symplectic_form(self.n_out)
+        omega_in = _forms(self.n_in)[0]
+        omega_out = _forms(self.n_out)[0]
         form = self.Y + 1j * (omega_out - self.X @ omega_in @ self.X.T)
         return float(np.linalg.eigvalsh(form).min())
 
@@ -166,7 +170,7 @@ def _added_variance(beta: float) -> float:
 
 def classical_mixing(Y: np.ndarray) -> GaussianChannel:
     """Random-displacement channel adding Gaussian noise with covariance Y >= 0."""
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Y = _validated(np.atleast_2d(Y), "mixing covariance Y")[0]
     if np.linalg.eigvalsh((Y + Y.T) / 2).min() < -1e-12:
         raise ParamDomainError("classical mixing requires Y >= 0")
     return GaussianChannel(np.eye(Y.shape[0]), Y, "classical_mixing", ())
@@ -297,6 +301,8 @@ class PhaseInsensitiveParams:
     y: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau) and math.isfinite(self.y)):
+            raise _domain_error("finite tau and y", tau=self.tau, y=self.y)
         if self.tau <= 0:
             raise ParamDomainError(f"need tau > 0, got {self.tau}")
         if self.y < max(0.0, abs(1.0 - self.tau) - 1e-12):

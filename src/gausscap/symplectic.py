@@ -7,11 +7,13 @@ number N has covariance (2N+1)*I. All entropies are in bits.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
     "NonSymmetricError",
+    "NonFiniteError",
     "SpectrumPairingError",
     "EntropyDomainError",
     "symplectic_form",
@@ -35,10 +37,15 @@ SYMMETRY_TOL = 1e-12
 PAIRING_TOL = 1e-9
 PHYSICALITY_TOL = 1e-10
 LN2 = math.log(2.0)
+_EIG_SLACK = 64 * np.finfo(float).eps  # eigensolver backward error per unit of |V|max
 
 
 class NonSymmetricError(ValueError):
     """Matrix expected to be symmetric is not, beyond tolerance."""
+
+
+class NonFiniteError(ValueError):
+    """Matrix with a NaN or infinite entry."""
 
 
 class SpectrumPairingError(ValueError):
@@ -58,47 +65,67 @@ def symplectic_form(n: int) -> np.ndarray:
     return omega
 
 
-def _require_even_square_symmetric(V: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _forms(n: int) -> tuple:
+    """(Omega, i*Omega) for n modes, built once and read-only; the internal
+    users share them, while symplectic_form returns a fresh array."""
+    omega = symplectic_form(n)
+    i_omega = 1j * omega
+    omega.flags.writeable = i_omega.flags.writeable = False
+    return omega, i_omega
+
+
+def _validated(V: np.ndarray, what: str = "covariance matrix") -> tuple:
+    """The one validation pass of a 2n x 2n matrix: shape, finite entries and
+    symmetry. Returns V as a float array and its scale max(1, |V|max), the
+    unit of every scale-aware tolerance below; `what` names V in errors.
+
+    Raises:
+        ValueError: if V is not 2n x 2n.
+        NonFiniteError: if an entry is NaN or infinite.
+        NonSymmetricError: if V is not symmetric within tolerance.
+    """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 != 0:
         raise ValueError(f"expected a 2n x 2n matrix, got shape {V.shape}")
+    # An explicit pass: max(1.0, nan) is 1.0, so the scale cannot catch NaN.
+    if not np.isfinite(V).all():
+        raise NonFiniteError(f"{what} must be finite")
     # Tolerance scales with the matrix so that exactly-built large covariance
     # matrices (entries ~1e6) are not rejected for eps-level asymmetry.
-    scale = max(1.0, np.abs(V).max())
-    asym = np.abs(V - V.T).max()
+    scale = max(1.0, float(np.abs(V).max()))
+    asym = float(np.abs(V - V.T).max())
     if asym > SYMMETRY_TOL * scale:
-        raise NonSymmetricError(f"asymmetry {asym:.3e} exceeds tolerance")
-    return V
+        raise NonSymmetricError(f"{what}: asymmetry {asym:.3e} exceeds tolerance")
+    return V, scale
 
 
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix, sorted descending.
 
     Returns the n positive values d_k such that the spectrum of i*Omega*V is
-    {+d_k, -d_k}. The covariance matrix must be symmetric and even
+    {+d_k, -d_k}. The covariance matrix must be finite, symmetric and even
     dimensional; a physical matrix has all d_k >= 1.
 
     Raises:
+        NonFiniteError: if V has a NaN or infinite entry.
         NonSymmetricError: if V is not symmetric within tolerance.
         SpectrumPairingError: if the eigenvalues of Omega*V do not split into
             +/- i*d pairs, which signals a corrupted or badly unphysical
             matrix.
     """
-    V = _require_even_square_symmetric(V)
+    V, scale = _validated(V)
     n = V.shape[0] // 2
-    eigs = np.linalg.eigvals(symplectic_form(n) @ V)
+    eigs = np.linalg.eigvals(_forms(n)[0] @ V)
     # Backward error of the eigensolver grows with the matrix norm; without
     # the second term, strongly squeezed pure states would be rejected.
-    slack = PAIRING_TOL * max(1.0, np.abs(eigs).max()) + 64 * np.finfo(
-        float
-    ).eps * max(1.0, np.abs(V).max())
-    if np.abs(eigs.real).max() > slack:
-        raise SpectrumPairingError(
-            f"real residue {np.abs(eigs.real).max():.3e} exceeds tolerance"
-        )
+    slack = PAIRING_TOL * max(1.0, float(np.abs(eigs).max())) + _EIG_SLACK * scale
+    residue = float(np.abs(eigs.real).max())
+    if residue > slack:
+        raise SpectrumPairingError(f"real residue {residue:.3e} exceeds tolerance")
     imag = np.sort(eigs.imag)
     # imag is sorted ascending: entry k must cancel entry -(k+1).
-    mismatch = np.abs(imag + imag[::-1]).max()
+    mismatch = float(np.abs(imag + imag[::-1]).max())
     if mismatch > slack:
         raise SpectrumPairingError(
             f"eigenvalues do not pair as +/- i*d (residue {mismatch:.3e})"
@@ -107,16 +134,24 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
 
 
 def is_physical_cov(V: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
-    """Whether V satisfies the uncertainty relation V + i*Omega >= 0.
+    """Whether V satisfies the uncertainty relation V + i*Omega >= 0; False
+    for a matrix with a NaN or infinite entry.
 
     Checked on the Hermitian form directly: the Hermitian eigenproblem is
     backward stable even for strongly squeezed matrices, where the values
     of the near-unit symplectic eigenvalues themselves are ill-conditioned.
     """
-    V = _require_even_square_symmetric(V)
-    form = V + 1j * symplectic_form(V.shape[0] // 2)
-    defect = float(np.linalg.eigvalsh(form).min())
-    return defect >= -tol * max(1.0, np.abs(V).max())
+    try:
+        V, scale = _validated(V)
+    except NonFiniteError:
+        return False
+    return _uncertainty_holds(V, scale, tol)
+
+
+def _uncertainty_holds(V: np.ndarray, scale: float, tol: float) -> bool:
+    """is_physical_cov on a matrix that `_validated` returned with `scale`."""
+    defect = float(np.linalg.eigvalsh(V + _forms(V.shape[0] // 2)[1]).min())
+    return defect >= -tol * scale
 
 
 def bosonic_entropy(x: float) -> float:
@@ -162,9 +197,11 @@ def two_mode_squeezed_cov(N: float) -> np.ndarray:
     """
     if N < 0:
         raise ValueError("photon number must be nonnegative")
-    diag = (2.0 * N + 1.0) * np.eye(2)
-    corr = 2.0 * np.sqrt(N * (N + 1.0)) * np.diag([1.0, -1.0])
-    return np.block([[diag, corr], [corr, diag]])
+    d = 2.0 * N + 1.0
+    c = 2.0 * math.sqrt(N * (N + 1.0))
+    return np.array(
+        [[d, 0.0, c, 0.0], [0.0, d, 0.0, -c], [c, 0.0, d, 0.0], [0.0, -c, 0.0, d]]
+    )
 
 
 def squeezed_vacuum_cov(variance_x: float) -> np.ndarray:
@@ -242,15 +279,15 @@ class GaussianState:
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float).ravel()
-        cov = _require_even_square_symmetric(self.cov)
+        cov, scale = _validated(self.cov)
         if mean.shape[0] != cov.shape[0]:
             raise ValueError(
                 f"mean length {mean.shape[0]} does not match covariance "
                 f"dimension {cov.shape[0]}"
             )
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
-            raise ValueError("mean and covariance must be finite")
-        if not is_physical_cov(cov):
+        if not np.isfinite(mean).all():
+            raise NonFiniteError("mean vector must be finite")
+        if not _uncertainty_holds(cov, scale, PHYSICALITY_TOL):
             raise ValueError("covariance violates the uncertainty relation")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)

@@ -6,6 +6,7 @@ reports the largest residual seen. Sampling is seeded, so the whole suite is
 deterministic for a given seed.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -49,8 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20250808
-
-_OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,12 @@ def check_extended_attenuator_degradability(
     return CheckOutcome(name, bool(residual <= tol), float(residual), tol, 1, details)
 
 
-def _flag_overlap(gamma: float, bra: np.ndarray, flag: np.ndarray, beta: float):
+def _flag_overlap(gamma: float, bra, flag, beta: float) -> complex:
     """Position-basis overlap of the product flag state at label `flag`,
     evaluated at the rescaled point gamma * bra."""
     a, b = bra
     x, p = flag
-    return math.sqrt(beta / (2 * math.pi)) * np.exp(
+    return math.sqrt(beta / (2 * math.pi)) * cmath.exp(
         -beta * gamma**2 * (a * a + b * b) / 4 - gamma * (1j * b * x - 1j * a * p) / 2
     )
 
@@ -177,17 +176,18 @@ def check_flag_condition(
     orders of the displacement pair; commuting the displacements costs the
     Weyl phase exp(-i r'^T Omega r), which reduces the operator identity to
     a scalar one. It holds exactly for the rescaling gamma = 1 and for no
-    other gamma.
+    other gamma. Each sample is evaluated on plain floats.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         b = beta if beta is not None else float(rng.uniform(0.25, 4.0))
-        r = rng.normal(size=2)
-        rp = rng.normal(size=2)
-        weyl = np.exp(-1j * float(rp @ _OMEGA2 @ r))
-        lhs = _flag_overlap(gamma, rp, r, b) * math.exp(-b * float(r @ r) / 4) * weyl
-        rhs = _flag_overlap(gamma, r, rp, b) * math.exp(-b * float(rp @ rp) / 4)
+        r = rng.normal(size=2).tolist()
+        rp = rng.normal(size=2).tolist()
+        # r'^T Omega r with Omega = [[0, 1], [-1, 0]]
+        weyl = cmath.exp(-1j * (rp[0] * r[1] - rp[1] * r[0]))
+        lhs = _flag_overlap(gamma, rp, r, b) * math.exp(-b * (r[0] ** 2 + r[1] ** 2) / 4) * weyl
+        rhs = _flag_overlap(gamma, r, rp, b) * math.exp(-b * (rp[0] ** 2 + rp[1] ** 2) / 4)
         worst = max(worst, abs(lhs - rhs))
     name = f"flag_condition(gamma={gamma:g}" + (
         f", beta={beta:g})" if beta is not None else ", beta~U[0.25,4])"

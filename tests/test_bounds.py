@@ -16,6 +16,7 @@ from gausscap.bounds import (
     additive_naj,
     additive_plob,
     amplifier_flagged_extension,
+    amplifier_lower,
     amplifier_naj,
     amplifier_plob,
     attenuator_extension,
@@ -169,6 +170,41 @@ def test_closed_forms_reject_non_finite_parameters(value):
         attenuator_plob(value, 0.1)
     with pytest.raises(ParamDomainError, match="N must be finite"):
         bounds_attenuator(0.8, value)
+
+
+def test_decomposition_rejects_non_finite_target():
+    # A NaN y would reach the family rule as N = max(0, NaN) = 0: a bound
+    # of 0 bits with a two-stage witness.
+    with pytest.raises(ParamDomainError, match="y must be finite"):
+        combined_decomposition_bound(PhaseInsensitiveParams(0.8, math.nan))
+
+
+@pytest.mark.parametrize(
+    "family, points",
+    [
+        ("additive", [(0.5,), (2.0,), (1e-300,), (1e300,)]),
+        ("amplifier", [(1.01, 10.0), (2.0, 0.0), (1.5, 1e-3), (1e200, 1e200)]),
+        ("attenuator", [(0.3, 0.1), (0.8, 0.05), (0.9, 1e16), (1e-300, 1e300)]),
+    ],
+)
+def test_table_rows_hold_the_closed_forms_unchecked(family, points):
+    # The rows are the public closed forms without their domain check: the
+    # report runs the family check once and every row gives the same value.
+    fam = FAMILIES[family]
+    public = {
+        "additive": [additive_lower, additive_naj, additive_plob, additive_flagged_extension],
+        "amplifier": [amplifier_lower, amplifier_naj, amplifier_plob,
+                      amplifier_flagged_extension],
+        "attenuator": [attenuator_lower, attenuator_plob, attenuator_rosati,
+                       attenuator_extension],
+    }[family]
+    for args in points:
+        fam.check(*args)
+        for row, closed_form in zip(fam.rows, public):
+            if row.applies is None or row.applies(*args) or row.defined_everywhere:
+                assert row.formula(*args) == closed_form(*args), (row.name, args)
+    with pytest.raises(ParamDomainError, match="must be finite"):
+        public[0](*[math.nan] * len(fam.params))
 
 
 @pytest.mark.parametrize(
@@ -357,6 +393,57 @@ def test_oracle_rejects_multimode_input():
 @pytest.mark.parametrize("M", [math.nan, math.inf])
 def test_oracle_rejects_non_finite_probe_energy(M):
     with pytest.raises(ParamDomainError, match="M must be finite"):
+        coherent_info_thermal(identity_channel(1), M=M)
+
+
+# (value, convergence_gap) of the thermal-probe oracle, frozen with numpy
+# 2.4.6 on OpenBLAS 0.3.31. Validation and matrix assembly may change only
+# if the same eigensolves run on the same matrices, so these repeat bit for
+# bit. An eigensolver's last bits depend on the LAPACK build, so on another
+# numpy the comparison allows 1e-6 (the purified path's floor at M = 1e8 is
+# ~2e-7).
+_ORACLE_FROZEN_BUILD = np.__version__ == "2.4.6"
+_EXT, _FLAG, _ID = "extended_attenuator", "flagged", "identity"
+_FROZEN_ORACLE = [
+    (_EXT, "complement", 1e2, 1.8146776413324783, 0.1669247144404471),
+    (_EXT, "purified", 1e2, 1.8146776413326773, 0.16692471444066026),
+    (_FLAG, "purified", 1e2, 0.21271030975296945, 0.01405388326377377),
+    (_ID, "purified", 1e2, 8.093740780281834, 3.259273924145453),
+    (_EXT, "complement", 1e4, 1.836115992743439, 0.001979244085777765),
+    (_EXT, "purified", 1e4, 1.8361159927337223, 0.001979244070062336),
+    (_FLAG, "purified", 1e4, 0.21440402153469051, 0.00015530482421510783),
+    (_ID, "purified", 1e4, 14.730479552786084, 3.3212791200436094),
+    (_EXT, "complement", 1e6, 1.8363340873539507, 1.982988307780431e-05),
+    (_EXT, "purified", 1e6, 1.8363340897479823, 1.98325457532178e-05),
+    (_FLAG, "purified", 1e6, 0.2144211192588088, 1.5527982526464257e-06),
+    (_EXT, "purified", 1e8, 1.8363367436228586, 6.699207588667377e-07),
+]
+
+
+def _oracle_channel(family):
+    if family == _EXT:
+        return extended_attenuator(0.8, 0.05)
+    if family == _FLAG:
+        return flagged_additive_noise(2.0)
+    return identity_channel(1)
+
+
+@pytest.mark.parametrize("family, strategy, M, value, gap", _FROZEN_ORACLE)
+def test_oracle_frozen_outputs(family, strategy, M, value, gap):
+    channel = _oracle_channel(family)
+    comp = complementary(channel) if strategy == "complement" else None
+    estimate = coherent_info_thermal(channel, M=M, complement=comp)
+    assert estimate.m_used == M
+    if _ORACLE_FROZEN_BUILD:
+        assert (estimate.value, estimate.convergence_gap) == (value, gap)
+    else:
+        assert estimate.value == pytest.approx(value, rel=1e-6, abs=1e-6)
+        assert estimate.convergence_gap == pytest.approx(gap, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("M, gap", [(1e6, "3.321e+00"), (1e8, "2.509e+00")])
+def test_oracle_frozen_divergence(M, gap):
+    with pytest.raises(OracleDivergedError, match=re.escape(f"convergence gap {gap} at M={M:g}")):
         coherent_info_thermal(identity_channel(1), M=M)
 
 

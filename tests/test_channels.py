@@ -105,6 +105,33 @@ def test_constructors_reject_non_finite_parameters(make, name, value):
         make(value)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_moment_maps_reject_non_finite_matrices(value):
+    # Rejected before the CP eigensolve: a NaN defect never compares below
+    # -CP_TOL, so the certificate alone would accept the map.
+    bad = np.eye(2)
+    bad[0, 0] = value
+    with pytest.raises(ValueError, match="added-noise matrix Y must be finite"):
+        GaussianChannel(np.eye(2), bad)
+    with pytest.raises(ValueError, match="moment-map matrix X must be finite"):
+        GaussianChannel(bad, np.eye(2))
+    with pytest.raises(ValueError, match="mixing covariance Y must be finite"):
+        classical_mixing(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_phase_insensitive_params_reject_non_finite(value):
+    with pytest.raises(ParamDomainError, match="tau must be finite"):
+        PhaseInsensitiveParams(value, 0.5)
+    with pytest.raises(ParamDomainError, match="y must be finite"):
+        PhaseInsensitiveParams(0.8, value)
+
+
+def test_asymmetric_noise_matrix_rejected():
+    with pytest.raises(ValueError, match="added-noise matrix Y: asymmetry"):
+        GaussianChannel(np.eye(2), np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+
 @pytest.mark.parametrize(
     "make, args, named",
     [

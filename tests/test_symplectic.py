@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from gausscap.symplectic import (
     EntropyDomainError,
     GaussianState,
+    NonFiniteError,
     NonSymmetricError,
     SpectrumPairingError,
     bosonic_entropy,
@@ -224,6 +225,46 @@ def test_gaussian_state_validation():
         GaussianState(np.zeros(4), np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):
         GaussianState(np.array([np.inf, 0.0]), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "mean, cov, error, match",
+    [
+        (np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]), NonSymmetricError, "asymmetry"),
+        (np.zeros(3), np.eye(3), ValueError, "2n x 2n"),
+        (np.zeros(2), np.diag([np.nan, 1.0]), NonFiniteError, "covariance matrix must be finite"),
+        (np.zeros(2), np.diag([np.inf, 1.0]), NonFiniteError, "covariance matrix must be finite"),
+        (np.array([np.nan, 0.0]), np.eye(2), NonFiniteError, "mean vector must be finite"),
+    ],
+)
+def test_gaussian_state_rejections(mean, cov, error, match):
+    with pytest.raises(error, match=match):
+        GaussianState(mean, cov)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_covariances_rejected_before_the_eigensolve(value):
+    # RuntimeWarnings are errors under pytest, so a NaN reaching the solver
+    # would fail here as well as the missing NonFiniteError.
+    V = two_mode_squeezed_cov(1.0)
+    V[1, 1] = value
+    with pytest.raises(NonFiniteError, match="must be finite"):
+        symplectic_eigenvalues(V)
+    with pytest.raises(NonFiniteError, match="must be finite"):
+        entropy_from_cov(V)
+    assert is_physical_cov(V) is False
+
+
+def test_symplectic_form_is_a_fresh_writable_array():
+    V = two_mode_squeezed_cov(2.0) + 0.5 * np.eye(4)
+    spectrum = symplectic_eigenvalues(V)
+    omega = symplectic_form(2)
+    assert omega.flags.writeable
+    assert symplectic_form(2) is not omega
+    omega[:] = 7.0
+    assert np.array_equal(symplectic_form(2)[:2, :2], [[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(symplectic_eigenvalues(V), spectrum)
+    assert is_physical_cov(V) and not is_physical_cov(0.9 * np.eye(4))
 
 
 def test_is_physical_cov():
