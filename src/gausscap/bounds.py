@@ -181,7 +181,11 @@ def beta_tilde(g: float, N: float) -> float:
     return 1.0 / ((g - 1.0) * N)
 
 
-_beta_tilde = beta_tilde.core  # for the amplifier cores below, whose (g, N) is checked
+# Unchecked cores for the amplifier cores below: their (g, N) is checked, and
+# _beta_tilde only returns a beta that passes _check_beta.
+_beta_tilde = beta_tilde.core
+_additive_naj = additive_naj.core
+_additive_flagged_extension = additive_flagged_extension.core
 
 
 @_checked_by(_check_amp)
@@ -190,14 +194,14 @@ def amplifier_naj(g: float, N: float) -> float:
     (g - 1) N >= 1, since there beta_tilde <= 1, even where (g - 1) N
     overflows and beta_tilde is not formed."""
     if (g - 1.0) * N < 1.0:
-        return additive_naj(_beta_tilde(g, N))
+        return _additive_naj(_beta_tilde(g, N))
     return -math.inf
 
 
 @_checked_by(_check_amp)
 def amplifier_flagged_extension(g: float, N: float) -> float:
     """Flagged-extension bound applied to the additive factor."""
-    return additive_flagged_extension(_beta_tilde(g, N))
+    return _additive_flagged_extension(_beta_tilde(g, N))
 
 
 def _has_additive_factor(g: float, N: float) -> bool:
@@ -413,16 +417,24 @@ class BoundEntry:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Named collection of bound values for one channel.
+    """Named bound values for one channel.
 
-    Entries are keyed by bound name ("lower", "naj", "plob", "rosati",
-    "extension", "combined"); "combined" is the minimum over the applicable
-    upper bounds, clamped at zero.
+    `rows` holds (name, raw, applicable, note) for each row of the family's
+    table in order ("lower", then the upper bounds among "naj", "plob",
+    "rosati" and "extension"), and last "combined": the minimum over the
+    applicable upper bounds, clamped at zero. `entries` is the same rows as
+    `BoundEntry` objects keyed by name, built on first access.
     """
 
     family: str
     params: dict
-    entries: dict
+    rows: tuple
+
+    @cached_property
+    def entries(self) -> dict:
+        return {
+            name: BoundEntry(raw, applicable, note) for name, raw, applicable, note in self.rows
+        }
 
     def __getitem__(self, name: str) -> BoundEntry:
         return self.entries[name]
@@ -433,7 +445,7 @@ class BoundReport:
 
     @property
     def combined(self) -> float:
-        return self.entries["combined"].clamped
+        return self.rows[-1][1]  # "combined" is stored clamped
 
     def upper_entries(self) -> dict:
         return {
@@ -448,12 +460,12 @@ class BoundReport:
             "params": dict(self.params),
             "entries": {
                 name: {
-                    "raw": entry.raw,
-                    "clamped": entry.clamped,
-                    "applicable": entry.applicable,
-                    "note": entry.note,
+                    "raw": raw,
+                    "clamped": max(raw, 0.0),
+                    "applicable": applicable,
+                    "note": note,
                 }
-                for name, entry in self.entries.items()
+                for name, raw, applicable, note in self.rows
             },
         }
 
@@ -482,14 +494,13 @@ def bounds_report(family: str, **params) -> BoundReport:
         raise ParamDomainError(f"unknown channel family {family!r}")
     args = [params[name] for name in fam.params]
     values, best = _row_values(fam, args)
-    entries = {}
-    for row, (applies, raw) in zip(fam.rows, values):
-        note = row.note if isinstance(row.note, str) else row.note(applies, *args)
-        entries[row.name] = BoundEntry(raw, applies, note)
-    entries["combined"] = BoundEntry(
-        max(best, 0.0), True, "minimum over the applicable upper bounds"
-    )
-    return BoundReport(family, dict(zip(fam.params, args)), entries)
+    rows = [
+        (row.name, raw, applies,
+         row.note if isinstance(row.note, str) else row.note(applies, *args))
+        for row, (applies, raw) in zip(fam.rows, values)
+    ]
+    rows.append(("combined", max(best, 0.0), True, "minimum over the applicable upper bounds"))
+    return BoundReport(family, dict(zip(fam.params, args)), tuple(rows))
 
 
 def bounds_additive(beta: float) -> BoundReport:
@@ -610,8 +621,10 @@ def _direct_upper_bound(tau: float, y: float) -> float:
     best = math.inf
     for row in fam.upper_rows:
         if row.applies is None or row.applies(*args):
-            best = min(best, max(0.0, row.formula(*args)))
-    return best
+            raw = row.formula(*args)
+            if raw < best:  # NaN never compares less, as in _row_values
+                best = raw
+    return max(0.0, best)
 
 
 _CP_SLACK = 1e-12  # a stage's noise may fall this far below |1 - tau|

@@ -177,7 +177,9 @@ def classical_mixing(Y: np.ndarray) -> GaussianChannel:
 
 
 def identity_channel(n_modes: int = 1) -> GaussianChannel:
-    """Identity map on the given number of modes."""
+    """Identity map on the given number of modes (at least one)."""
+    if n_modes < 1:
+        raise ValueError(f"need n_modes >= 1, got n_modes={n_modes}")
     return GaussianChannel(np.eye(2 * n_modes), np.zeros((2 * n_modes, 2 * n_modes)))
 
 

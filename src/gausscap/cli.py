@@ -108,11 +108,8 @@ def _cmd_bound(args) -> int:
         for key, value in report.params.items():
             print(f"# {key}: {value:.12g}")
         print("bound,raw,clamped,applicable,note")
-        for name, entry in report.entries.items():
-            print(
-                f"{name},{entry.raw:.12g},{entry.clamped:.12g},"
-                f'{int(entry.applicable)},"{entry.note}"'
-            )
+        for name, raw, applicable, note in report.rows:
+            print(f'{name},{raw:.12g},{max(raw, 0.0):.12g},{int(applicable)},"{note}"')
     return 0
 
 

@@ -81,13 +81,13 @@ def _validated(V: np.ndarray, what: str = "covariance matrix") -> tuple:
     unit of every scale-aware tolerance below; `what` names V in errors.
 
     Raises:
-        ValueError: if V is not 2n x 2n.
+        ValueError: if V is not 2n x 2n with n >= 1.
         NonFiniteError: if an entry is NaN or infinite.
         NonSymmetricError: if V is not symmetric within tolerance.
     """
     V = np.asarray(V, dtype=float)
-    if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 != 0:
-        raise ValueError(f"expected a 2n x 2n matrix, got shape {V.shape}")
+    if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 != 0 or V.shape[0] == 0:
+        raise ValueError(f"expected a 2n x 2n matrix with n >= 1, got shape {V.shape}")
     # An explicit pass: max(1.0, nan) is 1.0, so the scale cannot catch NaN.
     if not np.isfinite(V).all():
         raise NonFiniteError(f"{what} must be finite")
@@ -306,7 +306,9 @@ class GaussianState:
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
-    """Vacuum on the given number of modes."""
+    """Vacuum on the given number of modes (at least one)."""
+    if n_modes < 1:
+        raise ValueError(f"need n_modes >= 1, got n_modes={n_modes}")
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -33,6 +35,7 @@ from gausscap.bounds import (
     golden_section_minimize,
 )
 from gausscap.bounds import _direct_upper_bound, _gain_limit, _stage_pair
+from gausscap.channels import _family_of
 from gausscap.channels import (
     ParamDomainError,
     PhaseInsensitiveParams,
@@ -150,6 +153,138 @@ def test_bounds_report_dispatch():
     assert bounds_report("attenuator", eta=0.7, N=0.1).family == "attenuator"
     with pytest.raises(ParamDomainError):
         bounds_report("squeezer", r=1.0)
+
+
+_LOWER_NOTE = "one-shot coherent information, infinite-temperature input"
+_PLOB_NOTE = "two-way assisted capacity bound"
+_COMBINED_NOTE = "minimum over the applicable upper bounds"
+_N0_NOTE = "additive-factor route undefined at N = 0"
+_NO_FACTOR_NOTE = "additive-factor route undefined: 1/((g - 1) N) is not a positive finite float"
+_ROSATI_NOTE = "weak-degradability data processing to a pure-loss channel"
+_EXT_NOTE = "degradable two-mode extension capacity (valid for eta > 1/2)"
+
+# to_dict() of reports frozen before reports stored their row values: points
+# in figure range, N = 0, eta <= 1/2 (extension reported but inapplicable),
+# rosati with t <= 0, an amplifier whose (g - 1) N overflows and one whose
+# beta_tilde is not a positive finite float. Rows: (name, raw, clamped,
+# applicable, note).
+_FROZEN_REPORTS = [
+    ("additive", {"beta": 4.0}, [
+        ("lower", 0.5573049591110366, 0.5573049591110366, True, _LOWER_NOTE),
+        ("naj", 1.584962500721156, 1.584962500721156, True,
+         "data processing, additive-noise route"),
+        ("plob", 0.9179787193332775, 0.9179787193332775, True, _PLOB_NOTE),
+        ("extension", 0.7873823004681357, 0.7873823004681357, True,
+         "degradable flagged-extension capacity"),
+        ("combined", 0.7873823004681357, 0.7873823004681357, True, _COMBINED_NOTE),
+    ]),
+    ("additive", {"beta": 0.5}, [
+        ("lower", -2.4426950408889634, 0.0, True, _LOWER_NOTE),
+        ("naj", -math.inf, 0.0, True, "data processing, additive-noise route"),
+        ("plob", 0.4426950408889634, 0.4426950408889634, True, _PLOB_NOTE),
+        ("extension", 0.6620491825262329, 0.6620491825262329, True,
+         "degradable flagged-extension capacity"),
+        ("combined", 0.0, 0.0, True, _COMBINED_NOTE),
+    ]),
+    ("amplifier", {"g": 1.01, "N": 10.0}, [
+        ("lower", 1.823744626615147, 1.823744626615147, True, _LOWER_NOTE),
+        ("naj", 3.169925001442311, 3.169925001442311, True,
+         "data processing through the additive factor (beta=10)"),
+        ("plob", 1.967297556385847, 1.967297556385847, True, _PLOB_NOTE),
+        ("extension", 1.929567241090923, 1.929567241090923, True,
+         "flagged-extension bound on the additive factor (beta=10)"),
+        ("combined", 1.929567241090923, 1.929567241090923, True, _COMBINED_NOTE),
+    ]),
+    ("amplifier", {"g": 2.0, "N": 0.0}, [
+        ("lower", 1.0, 1.0, True, _LOWER_NOTE),
+        ("naj", math.nan, math.nan, False, _N0_NOTE),
+        ("plob", 1.0, 1.0, True, _PLOB_NOTE),
+        ("extension", math.nan, math.nan, False, _N0_NOTE),
+        ("combined", 1.0, 1.0, True, _COMBINED_NOTE),
+    ]),
+    ("amplifier", {"g": 1e+200, "N": 1e+200}, [
+        ("lower", -665.8283140183615, 0.0, True, _LOWER_NOTE),
+        ("naj", -math.inf, 0.0, True,
+         "data processing through the additive factor (beta < 1: (g - 1) N overflows)"),
+        ("plob", 6.643856189774725e+202, 6.643856189774725e+202, True, _PLOB_NOTE),
+        ("extension", math.nan, math.nan, False, _NO_FACTOR_NOTE),
+        ("combined", 0.0, 0.0, True, _COMBINED_NOTE),
+    ]),
+    ("amplifier", {"g": 1.000000000000001, "N": 1e-300}, [
+        ("lower", 49.67807190511264, 49.67807190511264, True, _LOWER_NOTE),
+        ("naj", math.nan, math.nan, False, _NO_FACTOR_NOTE),
+        ("plob", 49.67807190511264, 49.67807190511264, True, _PLOB_NOTE),
+        ("extension", math.nan, math.nan, False, _NO_FACTOR_NOTE),
+        ("combined", 49.67807190511264, 49.67807190511264, True, _COMBINED_NOTE),
+    ]),
+    ("attenuator", {"eta": 0.8, "N": 0.05}, [
+        ("lower", 1.7099948009696644, 1.7099948009696644, True, _LOWER_NOTE),
+        ("plob", 2.0480193006013945, 2.0480193006013945, True, _PLOB_NOTE),
+        ("rosati", 1.9114633253983428, 1.9114633253983428, True, _ROSATI_NOTE),
+        ("extension", 1.836336290712577, 1.836336290712577, True, _EXT_NOTE),
+        ("combined", 1.836336290712577, 1.836336290712577, True, _COMBINED_NOTE),
+    ]),
+    ("attenuator", {"eta": 0.8, "N": 0.0}, [
+        ("lower", 2.0000000000000004, 2.0000000000000004, True, _LOWER_NOTE),
+        ("plob", 2.3219280948873626, 2.3219280948873626, True, _PLOB_NOTE),
+        ("rosati", 2.0000000000000004, 2.0000000000000004, True, _ROSATI_NOTE),
+        ("extension", 2.0000000000000004, 2.0000000000000004, True, _EXT_NOTE),
+        ("combined", 2.0000000000000004, 2.0000000000000004, True, _COMBINED_NOTE),
+    ]),
+    ("attenuator", {"eta": 0.4, "N": 0.1}, [
+        ("lower", -1.0684091863348206, 0.0, True, _LOWER_NOTE),
+        ("plob", 0.38571171804127785, 0.38571171804127785, True, _PLOB_NOTE),
+        ("rosati", -0.9569312781081141, 0.0, True, _ROSATI_NOTE),
+        ("extension", -0.4969218757941701, 0.0, False, _EXT_NOTE),
+        ("combined", 0.0, 0.0, True, _COMBINED_NOTE),
+    ]),
+    ("attenuator", {"eta": 0.3, "N": 1.0}, [
+        ("lower", -3.2223924213364477, 0.0, True, _LOWER_NOTE),
+        ("plob", 0.25153876699596456, 0.25153876699596456, True, _PLOB_NOTE),
+        ("rosati", math.nan, math.nan, False, _ROSATI_NOTE),
+        ("extension", -0.5739369200182669, 0.0, False, _EXT_NOTE),
+        ("combined", 0.25153876699596456, 0.25153876699596456, True, _COMBINED_NOTE),
+    ]),
+]
+
+
+@pytest.mark.parametrize("family, params, rows", _FROZEN_REPORTS)
+def test_report_frozen_outputs(family, params, rows):
+    expected = {
+        "family": family,
+        "params": params,
+        "entries": {
+            name: {"raw": raw, "clamped": clamped, "applicable": applicable, "note": note}
+            for name, raw, clamped, applicable, note in rows
+        },
+    }
+    # json.dumps writes each float by its shortest round-trip repr (and NaN
+    # as NaN), so equal text is equal bits, key order included.
+    assert json.dumps(bounds_report(family, **params).to_dict()) == json.dumps(expected)
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("family, params", [(f, p) for f, p, _ in _FROZEN_REPORTS])
+def test_report_views_agree(family, params):
+    report = bounds_report(family, **params)
+    entries = report.entries
+    assert list(entries) == [row.name for row in FAMILIES[family].rows] + ["combined"]
+    assert report.entries is entries
+    assert report.lower is entries["lower"]
+    assert list(report.upper_entries()) == list(entries)[1:-1]
+    assert report.combined == entries["combined"].clamped == entries["combined"].raw
+    as_dict = report.to_dict()["entries"]
+    assert list(as_dict) == list(entries)
+    for name, entry in entries.items():
+        assert report[name] is entry
+        view = as_dict[name]
+        assert _same(view["raw"], entry.raw) and _same(view["clamped"], entry.clamped), name
+        assert (view["applicable"], view["note"]) == (entry.applicable, entry.note)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entries["lower"].raw = 0.0
 
 
 def test_amplifier_rows_follow_table_order():
@@ -323,6 +458,46 @@ def test_attenuator_sandwich(log_eta, complement, N):
 @given(st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
 def test_additive_sandwich(beta):
     _assert_sandwich(bounds_additive(beta))
+
+
+def _attenuator_point(log_d, complement, N):
+    eta = 1.0 - 10.0**log_d if complement else 10.0**log_d
+    return eta, (1.0 - eta) * (2.0 * N + 1.0)
+
+
+def _amplifier_point(log_gain_excess, N):
+    excess = 10.0**log_gain_excess
+    return 1.0 + excess, excess * (2.0 * N + 1.0)
+
+
+@given(
+    st.one_of(
+        st.builds(_attenuator_point, st.floats(-15.0, math.log10(0.5)), st.booleans(), _PHOTONS),
+        st.builds(_amplifier_point, st.floats(-6.0, 6.0), _PHOTONS),
+        st.floats(-300.0, 300.0).map(lambda e: (1.0, 2.0 / 10.0**e)),  # additive, y = 2/beta
+    )
+)
+@example((0.7, 0.3 * 1.1))
+@example((1.5, 0.5 * 2.0))
+@example((1.0 + 5e-11, 0.5))
+@example((1.0, 2.0 / 5e-309))  # 1/beta overflows
+@example((1.0, 2e-11))  # the identity
+def test_direct_upper_bound_is_the_report_combined(point):
+    # The decomposition scan's direct bound is the minimum over the same
+    # applicable rows as a report's combined, and fails on the same points.
+    tau, y = point
+    family, args = _family_of(tau, y)
+    if family == "identity":  # y <= ISO_TOL: no bound to take
+        assert _direct_upper_bound(tau, y) == math.inf
+        return
+    params = dict(zip(FAMILIES[family].params, args))
+    try:
+        expected = bounds_report(family, **params).combined
+    except ParamDomainError as exc:
+        with pytest.raises(ParamDomainError, match=re.escape(str(exc))):
+            _direct_upper_bound(tau, y)
+        return
+    assert _direct_upper_bound(tau, y) == expected
 
 
 def test_report_combined_not_above_any_applicable_upper():

@@ -258,6 +258,14 @@ def test_tensor_with_identity():
     assert tensor_with_identity(flagged_additive_noise(1.0), 2).n_out == 5
     left = tensor_with_identity(additive_noise(2.0), 1, side="left")
     assert np.allclose(left.Y, np.diag([0.0, 0.0, 1.0, 1.0]))
+    ch = additive_noise(2.0)
+    assert tensor_with_identity(ch, 0) is ch
+
+
+@pytest.mark.parametrize("n_modes", [0, -1])
+def test_identity_channel_needs_a_mode(n_modes):
+    with pytest.raises(ValueError, match=f"need n_modes >= 1, got n_modes={n_modes}"):
+        identity_channel(n_modes)
 
 
 def test_additive_tensor_identity_matches_joint_reference_blocks():

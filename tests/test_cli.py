@@ -65,6 +65,104 @@ def test_bound_csv_format(capsys):
     assert naj_row.split(",")[2] == "0"
 
 
+# `gausscap bound` output frozen before reports stored their row values, one
+# point per family. JSON rows: (name, raw, clamped, applicable, note), None
+# where the value is not finite.
+_LOWER_NOTE = "one-shot coherent information, infinite-temperature input"
+_COMBINED_NOTE = "minimum over the applicable upper bounds"
+_NO_FACTOR_NOTE = "additive-factor route undefined: 1/((g - 1) N) is not a positive finite float"
+_FROZEN_BOUND_CLI = [
+    (
+        ["--additive", "--beta", "4"],
+        {"beta": 4.0},
+        [
+            ("lower", 0.5573049591110366, 0.5573049591110366, True, _LOWER_NOTE),
+            ("naj", 1.584962500721156, 1.584962500721156, True,
+             "data processing, additive-noise route"),
+            ("plob", 0.9179787193332775, 0.9179787193332775, True,
+             "two-way assisted capacity bound"),
+            ("extension", 0.7873823004681357, 0.7873823004681357, True,
+             "degradable flagged-extension capacity"),
+            ("combined", 0.7873823004681357, 0.7873823004681357, True, _COMBINED_NOTE),
+        ],
+        """\
+# beta: 4
+bound,raw,clamped,applicable,note
+lower,0.557304959111,0.557304959111,1,"one-shot coherent information, infinite-temperature input"
+naj,1.58496250072,1.58496250072,1,"data processing, additive-noise route"
+plob,0.917978719333,0.917978719333,1,"two-way assisted capacity bound"
+extension,0.787382300468,0.787382300468,1,"degradable flagged-extension capacity"
+combined,0.787382300468,0.787382300468,1,"minimum over the applicable upper bounds"
+""",
+    ),
+    (
+        ["--amplifier", "--g", "1e200", "--n", "1e200"],
+        {"g": 1e200, "N": 1e200},
+        [
+            ("lower", -665.8283140183615, 0.0, True, _LOWER_NOTE),
+            ("naj", None, 0.0, True,
+             "data processing through the additive factor (beta < 1: (g - 1) N overflows)"),
+            ("plob", 6.643856189774725e202, 6.643856189774725e202, True,
+             "two-way assisted capacity bound"),
+            ("extension", None, None, False, _NO_FACTOR_NOTE),
+            ("combined", 0.0, 0.0, True, _COMBINED_NOTE),
+        ],
+        """\
+# g: 1e+200
+# N: 1e+200
+bound,raw,clamped,applicable,note
+lower,-665.828314018,0,1,"one-shot coherent information, infinite-temperature input"
+naj,-inf,0,1,"data processing through the additive factor (beta < 1: (g - 1) N overflows)"
+plob,6.64385618977e+202,6.64385618977e+202,1,"two-way assisted capacity bound"
+extension,nan,nan,0,"additive-factor route undefined: 1/((g - 1) N) is not a positive finite float"
+combined,0,0,1,"minimum over the applicable upper bounds"
+""",
+    ),
+    (
+        ["--attenuator", "--eta", "0.3", "--n", "1"],
+        {"eta": 0.3, "N": 1.0},
+        [
+            ("lower", -3.2223924213364477, 0.0, True, _LOWER_NOTE),
+            ("plob", 0.25153876699596456, 0.25153876699596456, True,
+             "two-way assisted capacity bound"),
+            ("rosati", None, None, False,
+             "weak-degradability data processing to a pure-loss channel"),
+            ("extension", -0.5739369200182669, 0.0, False,
+             "degradable two-mode extension capacity (valid for eta > 1/2)"),
+            ("combined", 0.25153876699596456, 0.25153876699596456, True, _COMBINED_NOTE),
+        ],
+        """\
+# eta: 0.3
+# N: 1
+bound,raw,clamped,applicable,note
+lower,-3.22239242134,0,1,"one-shot coherent information, infinite-temperature input"
+plob,0.251538766996,0.251538766996,1,"two-way assisted capacity bound"
+rosati,nan,nan,0,"weak-degradability data processing to a pure-loss channel"
+extension,-0.573936920018,0,0,"degradable two-mode extension capacity (valid for eta > 1/2)"
+combined,0.251538766996,0.251538766996,1,"minimum over the applicable upper bounds"
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, params, rows, csv", _FROZEN_BOUND_CLI)
+def test_bound_frozen_outputs(capsys, argv, params, rows, csv):
+    payload = {
+        "family": argv[0][2:],
+        "params": params,
+        "entries": {
+            name: {"raw": raw, "clamped": clamped, "applicable": applicable, "note": note}
+            for name, raw, clamped, applicable, note in rows
+        },
+    }
+    code, out, _ = run_cli(capsys, "bound", *argv)
+    assert code == 0
+    assert out == json.dumps(payload, indent=2) + "\n"
+    code, out, _ = run_cli(capsys, "bound", *argv, "--format", "csv")
+    assert code == 0
+    assert out == csv
+
+
 def test_bound_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "bound", "--additive", "--beta", "-1")
     assert code == 2

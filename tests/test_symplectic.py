@@ -235,11 +235,21 @@ def test_gaussian_state_validation():
         (np.zeros(2), np.diag([np.nan, 1.0]), NonFiniteError, "covariance matrix must be finite"),
         (np.zeros(2), np.diag([np.inf, 1.0]), NonFiniteError, "covariance matrix must be finite"),
         (np.array([np.nan, 0.0]), np.eye(2), NonFiniteError, "mean vector must be finite"),
+        (np.zeros(0), np.zeros((0, 0)), ValueError, r"with n >= 1, got shape \(0, 0\)"),
     ],
 )
 def test_gaussian_state_rejections(mean, cov, error, match):
     with pytest.raises(error, match=match):
         GaussianState(mean, cov)
+
+
+def test_zero_mode_objects_rejected():
+    for n_modes in (0, -1):
+        with pytest.raises(ValueError, match=f"need n_modes >= 1, got n_modes={n_modes}"):
+            vacuum_state(n_modes)
+    for spectral in (symplectic_eigenvalues, is_physical_cov):
+        with pytest.raises(ValueError, match="2n x 2n matrix with n >= 1"):
+            spectral(np.zeros((0, 0)))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
