@@ -9,7 +9,6 @@ degradable-extension formulas. All values are in bits; raw bound values may
 be negative, the clamped value max(raw, 0) is what bounds the capacity.
 """
 
-import bisect
 import functools
 import math
 import sys
@@ -628,7 +627,8 @@ def _direct_upper_bound(tau: float, y: float) -> float:
 
 
 _CP_SLACK = 1e-12  # a stage's noise may fall this far below |1 - tau|
-_GAIN_LIMIT_MARGIN = 1e-6  # relative; covers rounding in _stage_pair's CP test
+_GOLDEN_TOL = 1e-6  # golden section stops at this bracket width over max(1, |a| + |b|)
+_GOLDEN_MAX_ITER = 200
 
 
 def _stage_pair(target, gain, kind, allocation):
@@ -653,32 +653,19 @@ def _stage_pair(target, gain, kind, allocation):
     return tau1, y1, tau2, y2
 
 
-def _gain_limit(target, kind) -> float:
-    """Largest gain at which `kind` has a CP stage pair, for both noise
-    allocations; inf where every gain has one.
-
-    amplifier_first needs G <= 2 tau / (1 + tau - y), amplifier_last
-    G <= (1 + tau + y) / 2. For an attenuator target (eta, N) these are
-    eta / t, with rosati's transmissivity t = eta - N(1 - eta), and
-    1 + N(1 - eta). The first limit includes the CP test's absolute slack,
-    which moves it by slack / (1 + tau - y) relatively: more than
-    _GAIN_LIMIT_MARGIN when 1 + tau - y is small.
-    """
-    tau, y = target.tau, target.y
-    if kind == "amplifier_first":
-        excess = 1.0 + tau - y - _CP_SLACK
-        return 2.0 * tau / excess if excess > 0.0 else math.inf
-    return (1.0 + tau + y) / 2.0
+def _stages_bound(tau1: float, y1: float, tau2: float, y2: float) -> float:
+    """Bound of a two-stage candidate: the smaller of its stages' direct bounds."""
+    return min(_direct_upper_bound(tau1, y1), _direct_upper_bound(tau2, y2))
 
 
-def golden_section_minimize(f, a: float, b: float, tol: float = 1e-6, max_iter: int = 200):
+def golden_section_minimize(f, a: float, b: float):
     """Deterministic golden-section minimum of f on [a, b]; returns (x, f(x))."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
+    for _ in range(_GOLDEN_MAX_ITER):
+        if b - a <= _GOLDEN_TOL * max(1.0, abs(a) + abs(b)):
             break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
@@ -707,9 +694,10 @@ def combined_decomposition_bound(
     enter as the trivial decomposition, so the result never exceeds them.
 
     Each of the four branches is scanned on a log grid of gains, refined by
-    golden section around its best grid point. The CP-feasible gains of a
-    stage order form a prefix of the grid, ending at `_gain_limit`; the
-    gains past it count as +inf without being evaluated.
+    golden section around its best grid point; it stops at the first
+    infeasible gain. Above the grid's start, amplifier_first is CP iff
+    G <= 2 tau / (1 + tau - y), and amplifier_last iff G <= (1 + tau + y) / 2,
+    so the feasible gains are a prefix of the grid.
     """
     if not 2 <= grid <= MAX_GRID_POINTS:
         raise ParamDomainError(f"need 2 <= grid <= {MAX_GRID_POINTS}, got {grid}")
@@ -726,18 +714,18 @@ def combined_decomposition_bound(
     gains = np.geomspace(scale * (1.0 + 1e-4), scale * DECOMPOSITION_GAIN_MAX, grid).tolist()
 
     for kind in ("amplifier_first", "amplifier_last"):
-        limit = _gain_limit(target, kind) * (1.0 + _GAIN_LIMIT_MARGIN)
-        feasible = gains[: bisect.bisect_right(gains, limit)]
         for allocation in ("min_noise_first", "min_noise_last"):
 
             def value_at(gain: float) -> float:
                 stages = _stage_pair(target, gain, kind, allocation)
-                if stages is None:
-                    return math.inf
-                tau1, y1, tau2, y2 = stages
-                return min(_direct_upper_bound(tau1, y1), _direct_upper_bound(tau2, y2))
+                return math.inf if stages is None else _stages_bound(*stages)
 
-            values = [value_at(g) for g in feasible]
+            values = []
+            for gain in gains:
+                stages = _stage_pair(target, gain, kind, allocation)
+                if stages is None:
+                    break  # every larger gain is infeasible too
+                values.append(_stages_bound(*stages))
             v_grid = min(values, default=math.inf)
             if not math.isfinite(v_grid):
                 continue

@@ -15,6 +15,7 @@ from .symplectic import (
     GaussianState,
     NonFiniteError,
     _forms,
+    _mode_count,
     _validated,
     direct_sum,
     squeezed_vacuum_cov,
@@ -178,8 +179,7 @@ def classical_mixing(Y: np.ndarray) -> GaussianChannel:
 
 def identity_channel(n_modes: int = 1) -> GaussianChannel:
     """Identity map on the given number of modes (at least one)."""
-    if n_modes < 1:
-        raise ValueError(f"need n_modes >= 1, got n_modes={n_modes}")
+    n_modes = _mode_count(n_modes, "n_modes")
     return GaussianChannel(np.eye(2 * n_modes), np.zeros((2 * n_modes, 2 * n_modes)))
 
 
@@ -274,8 +274,7 @@ def tensor_with_identity(
     channel: GaussianChannel, extra_modes: int, side: str = "right"
 ) -> GaussianChannel:
     """Extend a channel by identity wires on the given side."""
-    if extra_modes < 0:
-        raise ValueError("extra_modes must be nonnegative")
+    extra_modes = _mode_count(extra_modes, "extra_modes", least=0)
     if extra_modes == 0:
         return channel
     eye = np.eye(2 * extra_modes)
@@ -380,8 +379,11 @@ _COMPLEMENT_BY_EXCHANGE = {
 def complementary(channel: GaussianChannel) -> GaussianChannel:
     """Closed-form complementary channel (environment output) where known.
 
-    For the attenuator families the complement is the same family with the
-    transmissivity exchanged, eta -> 1 - eta.
+    For the extended attenuators and the pure-loss attenuator (N = 0) the
+    complement is the same family with the transmissivity exchanged,
+    eta -> 1 - eta. A thermal attenuator (N > 0) has none here: its complement
+    also outputs the mode that purifies the thermal environment, and
+    attenuator(1 - eta, N) is only its weak complement.
     """
     maker = _COMPLEMENT_BY_EXCHANGE.get(channel.family)
     if maker is None:
@@ -389,4 +391,9 @@ def complementary(channel: GaussianChannel) -> GaussianChannel:
             f"no closed-form complement for family {channel.family!r}"
         )
     eta, N = channel.params
+    if channel.family == "attenuator" and N > 0.0:
+        raise NoKnownComplementError(
+            f"no single-mode complement for a thermal attenuator (N={N} > 0): "
+            "attenuator(1 - eta, N) is only its weak complement"
+        )
     return maker(1.0 - eta, N)

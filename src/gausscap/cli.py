@@ -113,25 +113,22 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+_FIG3_FLAGS = {"n": "N", "eta_min": "eta_min", "eta_max": "eta_max", "eta_step": "step"}
+# The grid flags each figure takes: argparse dest -> builder argument.
+_FIGURE_FLAGS = {
+    "fig1": {"x_min": "x_min", "x_max": "x_max", "x_step": "step"},
+    "fig2": {"n": "N", "g_offset_min": "g_offset_min", "g_max": "g_max", "points": "points"},
+    "fig3": _FIG3_FLAGS,
+    "fig3-inset": {**_FIG3_FLAGS, "grid": "grid"},
+}
+
+
 def _figure_overrides(args) -> dict:
-    if args.id == "fig1":
-        return {"x_min": args.x_min, "x_max": args.x_max, "step": args.x_step}
-    if args.id == "fig2":
-        return {
-            "N": args.n,
-            "g_offset_min": args.g_offset_min,
-            "g_max": args.g_max,
-            "points": args.points,
-        }
-    overrides = {
-        "N": args.n,
-        "eta_min": args.eta_min,
-        "eta_max": args.eta_max,
-        "step": args.eta_step,
-    }
-    if args.id == "fig3-inset":
-        overrides["grid"] = args.grid
-    return overrides
+    flags = _FIGURE_FLAGS[args.id]
+    for dest in dict.fromkeys(d for taken in _FIGURE_FLAGS.values() for d in taken):
+        if dest not in flags and getattr(args, dest) is not None:
+            raise ParamDomainError(f"figure {args.id} does not take --{dest.replace('_', '-')}")
+    return {name: getattr(args, dest) for dest, name in flags.items()}
 
 
 def _cmd_figure(args) -> int:

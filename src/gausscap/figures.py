@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import FAMILIES, MAX_GRID_POINTS, _row_values, combined_decomposition_bound
-from .channels import ParamDomainError, PhaseInsensitiveParams
+from .channels import ParamDomainError, PhaseInsensitiveParams, _domain_error
 
 __all__ = [
     "FigureSeries",
@@ -27,9 +27,6 @@ __all__ = [
     "build_figure",
     "write_csv",
 ]
-
-FIGURE_IDS = ("fig1", "fig2", "fig3", "fig3-inset")
-
 
 @dataclass(frozen=True)
 class FigureSeries:
@@ -75,11 +72,12 @@ def write_csv(series: FigureSeries, path) -> None:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    steps = (hi - lo) / step if step > 0 else math.nan
-    # round(steps) + 1 points; NaN and inf fail the comparison too
-    if not 0.0 <= steps < MAX_GRID_POINTS - 0.5:
+    """lo, lo + step, ... up to hi: the last point is at most hi, to within
+    1e-9 of a step, so a span that is a multiple of the step keeps its end."""
+    steps = (hi - lo) / step + 1e-9 if step > 0 else math.nan
+    if not 0.0 <= steps < MAX_GRID_POINTS:  # NaN and inf fail the comparison too
         raise ParamDomainError(f"need 1 to {MAX_GRID_POINTS} grid points, got [{lo}, {hi}] step {step}")
-    return lo + step * np.arange(round(steps) + 1)
+    return lo + step * np.arange(math.floor(steps) + 1)
 
 
 def _bound_columns(family: str, points) -> dict:
@@ -98,6 +96,8 @@ def _bound_columns(family: str, points) -> dict:
 
 def fig1_series(x_min: float = 0.02, x_max: float = 0.7, step: float = 0.005):
     """Additive Gaussian noise bounds against inverse beta (noise variance)."""
+    if not x_min > 0.0:
+        raise _domain_error("x_min > 0", x_min=x_min)
     xs = _grid(x_min, x_max, step).tolist()
     columns = _bound_columns("additive", [(1.0 / x,) for x in xs])
     meta = {
@@ -116,6 +116,8 @@ def fig2_series(
     points: int = 200,
 ):
     """Thermal amplifier bounds against the gain, log-spaced in gain - 1."""
+    if not 0.0 < g_offset_min < math.inf:
+        raise _domain_error("g_offset_min > 0", g_offset_min=g_offset_min)
     if not 2 <= points <= MAX_GRID_POINTS or g_max <= 1.0 + g_offset_min:
         raise ParamDomainError(f"need 2 <= points <= {MAX_GRID_POINTS}, g_max > 1 + g_offset_min")
     gains = (1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)).tolist()
@@ -131,31 +133,34 @@ def fig2_series(
     return FigureSeries("fig2", "gain", gains, columns, meta)
 
 
-def _attenuator_ratio_columns(etas, N, grid: int | None = None) -> dict:
-    """Lower bound, then each attenuator upper row as a ratio to it; with a
-    decomposition grid, the decomposition-combined bound as one more ratio."""
-    fam = FAMILIES["attenuator"]
-    columns = {}
-    for eta in etas:
-        values, _ = _row_values(fam, (eta, N))
-        low = max(values[0][1], 0.0)
-        uppers = {
-            row.name: max(raw, 0.0) if applies else None
-            for row, (applies, raw) in zip(fam.upper_rows, values[1:])
-        }
-        if grid is not None:
-            target = PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
-            uppers["combined"] = (
-                combined_decomposition_bound(target, grid=grid).value
-                if low > 0.0
-                else None
-            )
-        columns.setdefault("lower", []).append(low)
-        for name, value in uppers.items():
-            columns.setdefault(name, []).append(
-                None if value is None or low <= 0.0 else value / low
-            )
-    return columns
+def _attenuator_series(figure_id, N, eta_min, eta_max, step, grid=None):
+    """Attenuator lower bound, then each upper row as a ratio to it; with a
+    decomposition `grid`, "combined" is the decomposition-combined bound."""
+    etas = _grid(eta_min, eta_max, step).tolist()
+    columns = _bound_columns("attenuator", [(eta, N) for eta in etas])
+    lower = columns["lower"]
+    del columns["combined"]
+    if grid is not None:
+        columns["combined"] = [
+            combined_decomposition_bound(
+                PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0)), grid=grid
+            ).value if low > 0.0 else None
+            for eta, low in zip(etas, lower)
+        ]
+    for name in list(columns)[1:]:  # every column but "lower", as a ratio to it
+        columns[name] = [
+            None if v is None or low <= 0.0 else v / low for v, low in zip(columns[name], lower)
+        ]
+    meta = {
+        "x": "attenuator transmissivity",
+        "N": f"{N:g}",
+        "grid": f"[{eta_min:g}, {eta_max:g}] step {step:g}",
+        **({} if grid is None else {"decomposition_grid": f"{grid}"}),
+        "values": "lower bound in bits; upper bounds as ratios to the lower "
+        "bound, empty where the lower bound vanishes",
+        "seed": "not used (deterministic sweep)",
+    }
+    return FigureSeries(figure_id, "transmissivity", etas, columns, meta)
 
 
 def fig3_series(
@@ -165,17 +170,7 @@ def fig3_series(
     step: float = 0.0025,
 ):
     """Thermal attenuator upper bounds as ratios to the lower bound."""
-    etas = _grid(eta_min, eta_max, step).tolist()
-    columns = _attenuator_ratio_columns(etas, N)
-    meta = {
-        "x": "attenuator transmissivity",
-        "N": f"{N:g}",
-        "grid": f"[{eta_min:g}, {eta_max:g}] step {step:g}",
-        "values": "lower bound in bits; upper bounds as ratios to the lower "
-        "bound, empty where the lower bound vanishes",
-        "seed": "not used (deterministic sweep)",
-    }
-    return FigureSeries("fig3", "transmissivity", etas, columns, meta)
+    return _attenuator_series("fig3", N, eta_min, eta_max, step)
 
 
 def fig3_inset_series(
@@ -187,31 +182,23 @@ def fig3_inset_series(
 ):
     """Close-up of the attenuator figure around the bound crossing, with the
     decomposition-combined bound added."""
-    etas = _grid(eta_min, eta_max, step).tolist()
-    columns = _attenuator_ratio_columns(etas, N, grid)
-    meta = {
-        "x": "attenuator transmissivity",
-        "N": f"{N:g}",
-        "grid": f"[{eta_min:g}, {eta_max:g}] step {step:g}",
-        "decomposition_grid": f"{grid}",
-        "values": "lower bound in bits; upper bounds as ratios to the lower "
-        "bound, empty where the lower bound vanishes",
-        "seed": "not used (deterministic sweep)",
-    }
-    return FigureSeries("fig3-inset", "transmissivity", etas, columns, meta)
+    return _attenuator_series("fig3-inset", N, eta_min, eta_max, step, grid)
+
+
+_BUILDERS = {
+    "fig1": fig1_series,
+    "fig2": fig2_series,
+    "fig3": fig3_series,
+    "fig3-inset": fig3_inset_series,
+}
+FIGURE_IDS = tuple(_BUILDERS)
 
 
 def build_figure(figure_id: str, **overrides) -> FigureSeries:
     """Build a figure series by id, passing through any grid overrides."""
-    builders = {
-        "fig1": fig1_series,
-        "fig2": fig2_series,
-        "fig3": fig3_series,
-        "fig3-inset": fig3_inset_series,
-    }
-    if figure_id not in builders:
+    if figure_id not in _BUILDERS:
         raise ParamDomainError(
             f"unknown figure {figure_id!r}; choose from {FIGURE_IDS}"
         )
     kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return builders[figure_id](**kwargs)
+    return _BUILDERS[figure_id](**kwargs)

@@ -34,7 +34,7 @@ from gausscap.bounds import (
     combined_decomposition_bound,
     golden_section_minimize,
 )
-from gausscap.bounds import _direct_upper_bound, _gain_limit, _stage_pair
+from gausscap.bounds import _direct_upper_bound, _stage_pair
 from gausscap.channels import _family_of
 from gausscap.channels import (
     ParamDomainError,
@@ -707,7 +707,10 @@ _PINNED_DECOMPOSITIONS = [
 
 @pytest.mark.parametrize("target, value, kind, allocation, stages", _PINNED_DECOMPOSITIONS)
 def test_combined_bound_pinned_outputs(target, value, kind, allocation, stages):
-    result = combined_decomposition_bound(target)
+    _assert_decomposition(combined_decomposition_bound(target), value, kind, allocation, stages)
+
+
+def _assert_decomposition(result, value, kind, allocation, stages):
     witness = result.witness
     assert result.value == value
     assert (witness.kind, witness.allocation) == (kind, allocation)
@@ -728,27 +731,76 @@ def _random_targets(seed, count):
     return targets
 
 
+# (value, kind, allocation, stages) at a non-default grid or a near
+# entanglement-breaking target, frozen from the scan that stopped each branch
+# at a closed-form gain limit.
+_PINNED_EDGE_DECOMPOSITIONS = [
+    # 1 + tau - y = 1e-13: the direct bound is already 0
+    (PhaseInsensitiveParams(0.7, 1.7 - 1e-13), 200, 0.0, "direct", "", None),
+    (_attenuator_target(0.69, 0.05), 2, 1.0446881690278007, "amplifier_first", "min_noise_first",
+     (1.0155563317024376, 0.015556331702437642, 0.6794305529495461, 0.3304305529495463)),
+    (_amplifier_target(1.6, 0.8), 2, 0.115477217419935, "amplifier_first", "min_noise_first",
+     (1.828949097559518, 0.828949097559518, 0.8748193168060177, 0.834819316806018)),
+]
+
+
+@pytest.mark.parametrize(
+    "target, grid, value, kind, allocation, stages", _PINNED_EDGE_DECOMPOSITIONS
+)
+def test_combined_bound_pinned_edge_outputs(target, grid, value, kind, allocation, stages):
+    result = combined_decomposition_bound(target, grid=grid)
+    _assert_decomposition(result, value, kind, allocation, stages)
+
+
+def _feasible_count(target, gains, kind, allocation):
+    """How many gains, from the first, have a CP stage pair; asserts that
+    none after the first infeasible gain has one."""
+    feasible = [_stage_pair(target, g, kind, allocation) is not None for g in gains]
+    count = feasible.index(False) if False in feasible else len(feasible)
+    assert not any(feasible[count:]), (kind, allocation)
+    return count
+
+
+def _scan_gains(target, grid):
+    scale = max(1.0, target.tau)
+    return np.geomspace(scale * (1.0 + 1e-4), scale * DECOMPOSITION_GAIN_MAX, grid)
+
+
 @pytest.mark.parametrize("target", _random_targets(7, 20))
 def test_gain_limits_match_the_cp_test(target):
-    lowest = max(1.0, target.tau) * (1.0 + 1e-4)  # the scan's gain range
-    highest = max(1.0, target.tau) * DECOMPOSITION_GAIN_MAX
-    for kind in ("amplifier_first", "amplifier_last"):
-        limit = _gain_limit(target, kind)
-        top = min(limit * (1.0 - 1e-9), highest)
-        feasible = np.geomspace(lowest, top, 12) if top > lowest else []
-        beyond = [] if math.isinf(limit) else limit * (1.0 + 1e-6) * np.geomspace(1.0, 100.0, 12)
+    # Along the scan's gains the CP stage pairs are a prefix, so the scan may
+    # stop at the first infeasible gain; it ends at the closed-form limit of
+    # the stage order, amplifier_first G <= 2 tau / (1 + tau - y) and
+    # amplifier_last G <= (1 + tau + y) / 2, for both noise allocations.
+    tau, y = target.tau, target.y
+    excess = 1.0 + tau - y
+    limits = {
+        "amplifier_first": 2.0 * tau / excess if excess > 0.0 else math.inf,
+        "amplifier_last": (1.0 + tau + y) / 2.0,
+    }
+    gains = _scan_gains(target, 400)
+    for kind, limit in limits.items():
+        expected = int(np.searchsorted(gains, limit, side="right"))
         for allocation in ("min_noise_first", "min_noise_last"):
-            assert all(_stage_pair(target, g, kind, allocation) is not None for g in feasible)
-            assert all(_stage_pair(target, g, kind, allocation) is None for g in beyond)
+            count = _feasible_count(target, gains, kind, allocation)
+            assert abs(count - expected) <= 1, (kind, allocation, count, expected)
 
 
 def test_gain_limits_of_an_attenuator():
+    # For an attenuator (eta, N) the limits are eta / t, with rosati's
+    # transmissivity t = eta - N(1 - eta), and 1 + N(1 - eta); with t < 0
+    # every gain of amplifier_first is feasible.
     eta, N = 0.7, 0.3
-    t = eta - N * (1.0 - eta)  # rosati's transmissivity
+    t = eta - N * (1.0 - eta)
     target = _attenuator_target(eta, N)
-    assert _gain_limit(target, "amplifier_first") == pytest.approx(eta / t, rel=1e-11)
-    assert _gain_limit(target, "amplifier_last") == pytest.approx(1.0 + N * (1.0 - eta), rel=1e-15)
-    assert math.isinf(_gain_limit(_attenuator_target(0.3, 1.0), "amplifier_first"))  # t < 0
+    gains = _scan_gains(target, 4000)
+    for kind, limit in (("amplifier_first", eta / t), ("amplifier_last", 1.0 + N * (1.0 - eta))):
+        for allocation in ("min_noise_first", "min_noise_last"):
+            count = _feasible_count(target, gains, kind, allocation)
+            assert gains[count - 1] <= limit * (1.0 + 1e-9) < gains[count]
+    hot = _attenuator_target(0.3, 1.0)  # t < 0
+    for allocation in ("min_noise_first", "min_noise_last"):
+        assert _feasible_count(hot, _scan_gains(hot, 400), "amplifier_first", allocation) == 400
 
 
 def test_closed_form_domain_errors():

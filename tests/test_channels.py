@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from gausscap.bounds import coherent_info_thermal
 from gausscap.channels import (
     CPViolationError,
     DimensionMismatchError,
@@ -268,6 +269,21 @@ def test_identity_channel_needs_a_mode(n_modes):
         identity_channel(n_modes)
 
 
+@pytest.mark.parametrize("n_modes", [1.5, 2.0, True, "2", None])
+def test_mode_counts_must_be_integers(n_modes):
+    with pytest.raises(ValueError, match=r"n_modes must be an integer, got n_modes="):
+        identity_channel(n_modes)
+    with pytest.raises(ValueError, match=r"extra_modes must be an integer, got extra_modes="):
+        tensor_with_identity(additive_noise(1.0), n_modes)
+
+
+def test_numpy_integer_mode_counts_accepted():
+    assert identity_channel(np.int64(2)).n_in == 2
+    assert tensor_with_identity(additive_noise(1.0), np.int64(2)).n_out == 3
+    with pytest.raises(ValueError, match="need extra_modes >= 0, got extra_modes=-1"):
+        tensor_with_identity(additive_noise(1.0), -1)
+
+
 def test_additive_tensor_identity_matches_joint_reference_blocks():
     # Additive noise on half of a two-mode squeezed state reproduces the
     # signal/reference blocks of the flagged channel's joint output.
@@ -328,9 +344,18 @@ def test_complementary_family_rules():
     assert np.abs(again.Y - half.Y).max() <= 1e-12
     double = complementary(complementary(extended_attenuator(0.7, 0.1)))
     assert np.abs(double.X - extended_attenuator(0.7, 0.1).X).max() <= 1e-12
-    assert complementary(attenuator(0.9, 0.2)).params[0] == pytest.approx(0.1)
+    assert complementary(attenuator(0.9, 0.0)).params[0] == pytest.approx(0.1)
     with pytest.raises(NoKnownComplementError):
         complementary(additive_noise(1.0))
+    with pytest.raises(NoKnownComplementError, match="weak complement"):
+        complementary(attenuator(0.9, 0.2))
+
+
+def test_pure_loss_complement_matches_the_purified_oracle():
+    channel = attenuator(0.9, 0.0)
+    purified = coherent_info_thermal(channel)
+    complemented = coherent_info_thermal(channel, complement=complementary(channel))
+    assert complemented.value == pytest.approx(purified.value, abs=1e-6)
 
 
 @pytest.mark.parametrize(

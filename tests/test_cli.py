@@ -278,6 +278,40 @@ def test_figure_bad_grid_exit_code(capsys):
     assert f"need 1 to {MAX_GRID_POINTS} grid points" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["fig1", "--x-min", "0"], "x_min"),
+        (["fig1", "--x-min", "-0.1"], "x_min"),
+        (["fig2", "--g-offset-min", "0"], "g_offset_min"),
+        (["fig2", "--g-offset-min", "nan"], "g_offset_min"),
+        (["fig3", "--grid", "5"], "--grid"),
+        (["fig1", "--points", "7"], "--points"),
+        (["fig2", "--eta-step", "0.1"], "--eta-step"),
+        (["fig3-inset", "--x-max", "0.5"], "--x-max"),
+    ],
+)
+def test_figure_bad_inputs_are_named(capsys, tmp_path, argv, name):
+    code, out, err = run_cli(capsys, "figure", *argv, "--out", str(tmp_path / "f.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and name in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["fig1", "--x-min", "0.02", "--x-max", "0.7", "--x-step", "0.4"], "0.42"),
+        (["fig3", "--eta-step", "0.05"], "0.95"),
+    ],
+)
+def test_figure_grid_stays_below_its_upper_end(capsys, tmp_path, argv, last):
+    path = tmp_path / "f.csv"
+    code, _, _ = run_cli(capsys, "figure", *argv, "--out", str(path))
+    assert code == 0
+    assert path.read_text().splitlines()[-1].split(",")[0] == last
+
+
 def test_figure_grids_capped_before_allocating():
     span = 0.7 - 0.02
     assert len(_grid(0.02, 0.7, span / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS

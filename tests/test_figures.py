@@ -3,9 +3,10 @@ import hashlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gausscap.bounds import bounds_report
+from gausscap.bounds import bounds_report, combined_decomposition_bound
+from gausscap.channels import PhaseInsensitiveParams
 from gausscap.cli import main
-from gausscap.figures import fig1_series, fig2_series, fig3_series
+from gausscap.figures import _grid, fig1_series, fig2_series, fig3_inset_series, fig3_series
 
 _PHOTONS = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
 
@@ -55,6 +56,43 @@ def test_fig3_sweep_equals_report_ratios(N, eta_min, steps, step):
             for r, low in zip(reports, lows)
         ]
         assert series.column(name) == expected, name
+
+
+@pytest.mark.parametrize("N", [0.0, 0.05, 5.0])
+def test_fig3_inset_combined_is_the_decomposition_ratio(N):
+    series = fig3_inset_series(N=N, eta_min=0.45, eta_max=0.75, step=0.05, grid=7)
+    fig3 = fig3_series(N=N, eta_min=0.45, eta_max=0.75, step=0.05)
+    assert {k: v for k, v in series.columns.items() if k != "combined"} == fig3.columns
+    for eta, low, cell in zip(series.x_values, series.column("lower"), series.column("combined")):
+        if low > 0.0:
+            target = PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
+            assert cell == combined_decomposition_bound(target, grid=7).value / low
+        else:
+            assert cell is None
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step, count",
+    [
+        (0.02, 0.7, 0.4, 2),  # round() would add 0.82
+        (0.55, 0.995, 0.05, 9),  # round() would reach 1.0
+        (0.02, 0.7, 0.005, 137),
+        (0.55, 0.995, 0.0025, 179),
+        (0.6, 0.8, 0.0025, 81),
+        (0.3, 0.3, 0.1, 1),
+    ],
+)
+def test_grid_stops_at_its_upper_end(lo, hi, step, count):
+    xs = _grid(lo, hi, step)
+    assert len(xs) == count
+    assert xs[-1] <= hi + 1e-9 * step < xs[-1] + step
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(1e-3, 1.0), st.integers(1, 10**5))
+def test_grid_keeps_every_step_of_an_exact_division(lo, span, n):
+    # the figure sweeps step by (hi - lo) / n and expect n + 1 points
+    assert len(_grid(lo, lo + span, span / n)) == n + 1
 
 
 # SHA-256 of `gausscap figure <id>` at default arguments, generator line

@@ -247,6 +247,10 @@ def test_zero_mode_objects_rejected():
     for n_modes in (0, -1):
         with pytest.raises(ValueError, match=f"need n_modes >= 1, got n_modes={n_modes}"):
             vacuum_state(n_modes)
+    for n_modes in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="n_modes must be an integer"):
+            vacuum_state(n_modes)
+    assert vacuum_state(np.int64(2)).n_modes == 2
     for spectral in (symplectic_eigenvalues, is_physical_cov):
         with pytest.raises(ValueError, match="2n x 2n matrix with n >= 1"):
             spectral(np.zeros((0, 0)))
