@@ -28,6 +28,7 @@ from .channels import (
     tensor_with_identity,
 )
 from .symplectic import (
+    CP_SLACK,
     LN2,
     bosonic_entropy,
     thermal_state,
@@ -72,6 +73,7 @@ ORACLE_DIVERGENCE_GAP = 1e-2
 ORACLE_DIVERGENCE_M = 1e5
 
 MAX_GRID_POINTS = 10**6  # largest grid a figure or the decomposition scan allocates
+DECOMPOSITION_GRID = 200  # gains the decomposition scan evaluates by default
 DECOMPOSITION_GAIN_MAX = 50.0  # the scan's gains reach this multiple of max(1, tau)
 
 
@@ -561,7 +563,7 @@ def coherent_info_thermal(
         raise ParamDomainError("complement channel must take one mode")
 
     if complement is None:
-        other, probe = tensor_with_identity(channel, 1, side="right"), two_mode_squeezed_state
+        other, probe = tensor_with_identity(channel, 1), two_mode_squeezed_state
     else:
         other, probe = complement, thermal_state
 
@@ -626,14 +628,13 @@ def _direct_upper_bound(tau: float, y: float) -> float:
     return max(0.0, best)
 
 
-_CP_SLACK = 1e-12  # a stage's noise may fall this far below |1 - tau|
 _GOLDEN_TOL = 1e-6  # golden section stops at this bracket width over max(1, |a| + |b|)
 _GOLDEN_MAX_ITER = 200
 
 
 def _stage_pair(target, gain, kind, allocation):
     """Stages (tau1, y1, tau2, y2) of one decomposition candidate, or None
-    if the noise split is not completely positive."""
+    if the noise split is not completely positive (PhaseInsensitiveParams' rule)."""
     if kind == "amplifier_first":
         tau1, tau2 = gain, target.tau / gain
     else:
@@ -641,13 +642,13 @@ def _stage_pair(target, gain, kind, allocation):
     if allocation == "min_noise_first":
         y1 = abs(1.0 - tau1)
         y2 = target.y - tau2 * y1
-        if y2 < abs(1.0 - tau2) - _CP_SLACK:
+        if y2 < abs(1.0 - tau2) - CP_SLACK:
             return None
         y2 = max(y2, abs(1.0 - tau2))
     else:
         y2 = abs(1.0 - tau2)
         y1 = (target.y - y2) / tau2
-        if y1 < abs(1.0 - tau1) - _CP_SLACK:
+        if y1 < abs(1.0 - tau1) - CP_SLACK:
             return None
         y1 = max(y1, abs(1.0 - tau1))
     return tau1, y1, tau2, y2
@@ -681,7 +682,7 @@ def golden_section_minimize(f, a: float, b: float):
 
 def combined_decomposition_bound(
     target: PhaseInsensitiveParams,
-    grid: int = 200,
+    grid: int = DECOMPOSITION_GRID,
 ) -> DecompositionBound:
     """Best upper bound over two-stage attenuator/amplifier decompositions.
 

@@ -12,6 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symplectic import (
+    CP_SLACK,
+    CP_TOL,
+    ISO_TOL,
+    MIXING_PSD_TOL,
+    _EIG_SLACK,
     GaussianState,
     NonFiniteError,
     _forms,
@@ -47,10 +52,6 @@ __all__ = [
     "from_phase_insensitive",
     "complementary",
 ]
-
-CP_TOL = 1e-10
-ISO_TOL = 1e-10
-
 
 class ParamDomainError(ValueError):
     """Channel parameter outside its allowed domain."""
@@ -111,11 +112,11 @@ class GaussianChannel:
             raise ValueError("Y dimension must match the output side of X")
         if not np.isfinite(X).all():
             raise NonFiniteError("moment-map matrix X must be finite")
-        Y = _validated(Y, "added-noise matrix Y")[0]
+        Y, scale = _validated(Y, "added-noise matrix Y")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         defect = self.cp_defect()
-        if defect < -CP_TOL:
+        if defect < -(CP_TOL + _EIG_SLACK * scale):
             raise CPViolationError(
                 f"CP certificate failed (min eigenvalue {defect:.3e})"
             )
@@ -172,7 +173,7 @@ def _added_variance(beta: float) -> float:
 def classical_mixing(Y: np.ndarray) -> GaussianChannel:
     """Random-displacement channel adding Gaussian noise with covariance Y >= 0."""
     Y = _validated(np.atleast_2d(Y), "mixing covariance Y")[0]
-    if np.linalg.eigvalsh((Y + Y.T) / 2).min() < -1e-12:
+    if np.linalg.eigvalsh((Y + Y.T) / 2).min() < -MIXING_PSD_TOL:
         raise ParamDomainError("classical mixing requires Y >= 0")
     return GaussianChannel(np.eye(Y.shape[0]), Y, "classical_mixing", ())
 
@@ -270,23 +271,13 @@ def compose(second: GaussianChannel, first: GaussianChannel) -> GaussianChannel:
     return GaussianChannel(X, (Y + Y.T) / 2)
 
 
-def tensor_with_identity(
-    channel: GaussianChannel, extra_modes: int, side: str = "right"
-) -> GaussianChannel:
-    """Extend a channel by identity wires on the given side."""
+def tensor_with_identity(channel: GaussianChannel, extra_modes: int) -> GaussianChannel:
+    """Extend a channel by identity wires on extra modes after its own."""
     extra_modes = _mode_count(extra_modes, "extra_modes", least=0)
     if extra_modes == 0:
         return channel
-    eye = np.eye(2 * extra_modes)
-    zero = np.zeros((2 * extra_modes, 2 * extra_modes))
-    if side == "right":
-        X = direct_sum(channel.X, eye)
-        Y = direct_sum(channel.Y, zero)
-    elif side == "left":
-        X = direct_sum(eye, channel.X)
-        Y = direct_sum(zero, channel.Y)
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    X = direct_sum(channel.X, np.eye(2 * extra_modes))
+    Y = direct_sum(channel.Y, np.zeros((2 * extra_modes, 2 * extra_modes)))
     return GaussianChannel(X, Y)
 
 
@@ -306,7 +297,7 @@ class PhaseInsensitiveParams:
             raise _domain_error("finite tau and y", tau=self.tau, y=self.y)
         if self.tau <= 0:
             raise ParamDomainError(f"need tau > 0, got {self.tau}")
-        if self.y < max(0.0, abs(1.0 - self.tau) - 1e-12):
+        if self.y < max(0.0, abs(1.0 - self.tau) - CP_SLACK):
             raise CPViolationError(
                 f"(tau={self.tau}, y={self.y}) violates y >= |1 - tau|"
             )

@@ -59,8 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--eta-min", type=float, help="fig3 transmissivity minimum")
     figure.add_argument("--eta-max", type=float, help="fig3 transmissivity maximum")
     figure.add_argument("--eta-step", type=float, help="fig3 transmissivity step")
-    figure.add_argument("--grid", type=int,
-                        help="fig3-inset decomposition search resolution")
 
     verify = sub.add_parser("verify", help="run the structural certification suite")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -119,7 +117,7 @@ _FIGURE_FLAGS = {
     "fig1": {"x_min": "x_min", "x_max": "x_max", "x_step": "step"},
     "fig2": {"n": "N", "g_offset_min": "g_offset_min", "g_max": "g_max", "points": "points"},
     "fig3": _FIG3_FLAGS,
-    "fig3-inset": {**_FIG3_FLAGS, "grid": "grid"},
+    "fig3-inset": _FIG3_FLAGS,
 }
 
 

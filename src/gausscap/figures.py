@@ -14,8 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import FAMILIES, MAX_GRID_POINTS, _row_values, combined_decomposition_bound
+from .bounds import DECOMPOSITION_GRID, FAMILIES, MAX_GRID_POINTS, _row_values
+from .bounds import combined_decomposition_bound
 from .channels import ParamDomainError, PhaseInsensitiveParams, _domain_error
+from .symplectic import GRID_END_TOL
 
 __all__ = [
     "FigureSeries",
@@ -73,8 +75,8 @@ def write_csv(series: FigureSeries, path) -> None:
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     """lo, lo + step, ... up to hi: the last point is at most hi, to within
-    1e-9 of a step, so a span that is a multiple of the step keeps its end."""
-    steps = (hi - lo) / step + 1e-9 if step > 0 else math.nan
+    GRID_END_TOL of a step, so a span that is a multiple of the step keeps its end."""
+    steps = (hi - lo) / step + GRID_END_TOL if 0.0 < step < math.inf else math.nan
     if not 0.0 <= steps < MAX_GRID_POINTS:  # NaN and inf fail the comparison too
         raise ParamDomainError(f"need 1 to {MAX_GRID_POINTS} grid points, got [{lo}, {hi}] step {step}")
     return lo + step * np.arange(math.floor(steps) + 1)
@@ -96,8 +98,8 @@ def _bound_columns(family: str, points) -> dict:
 
 def fig1_series(x_min: float = 0.02, x_max: float = 0.7, step: float = 0.005):
     """Additive Gaussian noise bounds against inverse beta (noise variance)."""
-    if not x_min > 0.0:
-        raise _domain_error("x_min > 0", x_min=x_min)
+    if not (x_min > 0.0 and 1.0 / x_min < math.inf):  # beta = 1 / x_min
+        raise _domain_error("x_min > 0 with a finite 1/x_min", x_min=x_min)
     xs = _grid(x_min, x_max, step).tolist()
     columns = _bound_columns("additive", [(1.0 / x,) for x in xs])
     meta = {
@@ -116,8 +118,10 @@ def fig2_series(
     points: int = 200,
 ):
     """Thermal amplifier bounds against the gain, log-spaced in gain - 1."""
-    if not 0.0 < g_offset_min < math.inf:
-        raise _domain_error("g_offset_min > 0", g_offset_min=g_offset_min)
+    if not 1.0 < 1.0 + g_offset_min < math.inf:  # the first gain, 1 + g_offset_min
+        raise _domain_error("1 + g_offset_min > 1", g_offset_min=g_offset_min)
+    if not math.isfinite(g_max):  # before geomspace, which would warn on it
+        raise _domain_error("finite g_max", g_max=g_max)
     if not 2 <= points <= MAX_GRID_POINTS or g_max <= 1.0 + g_offset_min:
         raise ParamDomainError(f"need 2 <= points <= {MAX_GRID_POINTS}, g_max > 1 + g_offset_min")
     gains = (1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)).tolist()
@@ -133,17 +137,17 @@ def fig2_series(
     return FigureSeries("fig2", "gain", gains, columns, meta)
 
 
-def _attenuator_series(figure_id, N, eta_min, eta_max, step, grid=None):
-    """Attenuator lower bound, then each upper row as a ratio to it; with a
-    decomposition `grid`, "combined" is the decomposition-combined bound."""
+def _attenuator_series(figure_id, N, eta_min, eta_max, step, decomposed=False):
+    """Attenuator lower bound, then each upper row as a ratio to it; when
+    `decomposed`, "combined" is the decomposition-combined bound."""
     etas = _grid(eta_min, eta_max, step).tolist()
     columns = _bound_columns("attenuator", [(eta, N) for eta in etas])
     lower = columns["lower"]
     del columns["combined"]
-    if grid is not None:
+    if decomposed:
         columns["combined"] = [
             combined_decomposition_bound(
-                PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0)), grid=grid
+                PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
             ).value if low > 0.0 else None
             for eta, low in zip(etas, lower)
         ]
@@ -155,7 +159,7 @@ def _attenuator_series(figure_id, N, eta_min, eta_max, step, grid=None):
         "x": "attenuator transmissivity",
         "N": f"{N:g}",
         "grid": f"[{eta_min:g}, {eta_max:g}] step {step:g}",
-        **({} if grid is None else {"decomposition_grid": f"{grid}"}),
+        **({"decomposition_grid": f"{DECOMPOSITION_GRID}"} if decomposed else {}),
         "values": "lower bound in bits; upper bounds as ratios to the lower "
         "bound, empty where the lower bound vanishes",
         "seed": "not used (deterministic sweep)",
@@ -178,11 +182,10 @@ def fig3_inset_series(
     eta_min: float = 0.60,
     eta_max: float = 0.80,
     step: float = 0.0025,
-    grid: int = 200,
 ):
     """Close-up of the attenuator figure around the bound crossing, with the
-    decomposition-combined bound added."""
-    return _attenuator_series("fig3-inset", N, eta_min, eta_max, step, grid)
+    decomposition-combined bound added (DECOMPOSITION_GRID gains)."""
+    return _attenuator_series("fig3-inset", N, eta_min, eta_max, step, decomposed=True)
 
 
 _BUILDERS = {

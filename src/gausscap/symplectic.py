@@ -33,11 +33,28 @@ __all__ = [
     "two_mode_squeezed_state",
 ]
 
-SYMMETRY_TOL = 1e-12
-PAIRING_TOL = 1e-9
-PHYSICALITY_TOL = 1e-10
+# Tolerances: every accept/reject threshold of the package, named once and
+# imported by the other modules. "abs" compares as is; "x scale" multiplies by
+# scale = max(1, |V|max) of the matrix under test, as `_validated` returns it.
+# Algorithm parameters (golden-section stop, the scan's first gain, oracle
+# divergence) stay beside their algorithm in `bounds`.
+SYMMETRY_TOL = 1e-12  # x scale: largest |V - V^T| of a matrix taken as symmetric
+PAIRING_TOL = 1e-9  # x max(1, |eig|max), + _EIG_SLACK x scale: Omega V's +/- i d pairing
+_EIG_SLACK = 64 * np.finfo(float).eps  # x scale: eigensolver backward error
+PHYSICALITY_TOL = 1e-10  # x scale: V + i Omega of a state may dip this far below 0
+PURITY_TOL = 1e-9  # x scale: a pure state's symplectic eigenvalues are this close to 1
+ENTROPY_DOMAIN_TOL = 1e-10  # abs: bosonic_entropy takes x >= 1 - this, with h = 0 below 1
+CP_TOL = 1e-10  # abs, + _EIG_SLACK x scale of Y: a channel's CP form may dip this far below 0
+CP_SLACK = 1e-12  # abs: a phase-insensitive y may fall this far below |1 - tau|
+MIXING_PSD_TOL = 1e-12  # abs: a classical-mixing covariance may dip this far below 0
+ISO_TOL = 1e-10  # abs: isotropy of a single-mode (X, Y); tau = 1 and y = 0 within it
+GRID_END_TOL = 1e-9  # x step: a stepped figure grid keeps an end this far past hi
+CHECK_EXACT_TOL = 1e-12  # abs: verify's degradability, flag-condition and mixing residuals
+CHECK_GAUGE_TOL = 1e-10  # abs: verify's gauge-covariance residuals
+CHECK_GROWTH_TOL = 1e-5  # relative: verify's spectrum growth rates, 10 / the top probe M 1e6
+CHECK_UNIT_TOL = 1e-8  # abs: verify's pinned unit symplectic eigenvalues
+
 LN2 = math.log(2.0)
-_EIG_SLACK = 64 * np.finfo(float).eps  # eigensolver backward error per unit of |V|max
 
 
 class NonSymmetricError(ValueError):
@@ -78,7 +95,7 @@ def _forms(n: int) -> tuple:
 def _validated(V: np.ndarray, what: str = "covariance matrix") -> tuple:
     """The one validation pass of a 2n x 2n matrix: shape, finite entries and
     symmetry. Returns V as a float array and its scale max(1, |V|max), the
-    unit of every scale-aware tolerance below; `what` names V in errors.
+    unit of the "x scale" tolerances; `what` names V in errors.
 
     Raises:
         ValueError: if V is not 2n x 2n with n >= 1.
@@ -133,7 +150,7 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     return imag[::-1][:n].copy()
 
 
-def is_physical_cov(V: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
+def is_physical_cov(V: np.ndarray) -> bool:
     """Whether V satisfies the uncertainty relation V + i*Omega >= 0; False
     for a matrix with a NaN or infinite entry.
 
@@ -145,13 +162,13 @@ def is_physical_cov(V: np.ndarray, tol: float = PHYSICALITY_TOL) -> bool:
         V, scale = _validated(V)
     except NonFiniteError:
         return False
-    return _uncertainty_holds(V, scale, tol)
+    return _uncertainty_holds(V, scale)
 
 
-def _uncertainty_holds(V: np.ndarray, scale: float, tol: float) -> bool:
+def _uncertainty_holds(V: np.ndarray, scale: float) -> bool:
     """is_physical_cov on a matrix that `_validated` returned with `scale`."""
     defect = float(np.linalg.eigvalsh(V + _forms(V.shape[0] // 2)[1]).min())
-    return defect >= -tol * scale
+    return defect >= -PHYSICALITY_TOL * scale
 
 
 def bosonic_entropy(x: float) -> float:
@@ -159,13 +176,13 @@ def bosonic_entropy(x: float) -> float:
 
     h(x) = ((x+1)/2) log2((x+1)/2) - ((x-1)/2) log2((x-1)/2), evaluated for
     one float as (log1p(b) + b log1p(1/b)) / ln 2 with b = (x - 1)/2: both
-    terms are nonnegative, so nothing cancels at any x. h = 0 on [1 - 1e-10, 1]
-    and h(inf) = inf, its limit.
+    terms are nonnegative, so nothing cancels at any x. h = 0 on
+    [1 - ENTROPY_DOMAIN_TOL, 1] and h(inf) = inf, its limit.
 
     Raises:
-        EntropyDomainError: for x < 1 - 1e-10, and for NaN.
+        EntropyDomainError: for x < 1 - ENTROPY_DOMAIN_TOL, and for NaN.
     """
-    if not x >= 1.0 - PHYSICALITY_TOL:
+    if not x >= 1.0 - ENTROPY_DOMAIN_TOL:
         raise EntropyDomainError(f"argument {x} below 1")
     if x <= 1.0:
         return 0.0
@@ -287,7 +304,7 @@ class GaussianState:
             )
         if not np.isfinite(mean).all():
             raise NonFiniteError("mean vector must be finite")
-        if not _uncertainty_holds(cov, scale, PHYSICALITY_TOL):
+        if not _uncertainty_holds(cov, scale):
             raise ValueError("covariance violates the uncertainty relation")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -300,9 +317,9 @@ class GaussianState:
         """Von Neumann entropy in bits."""
         return entropy_from_cov(self.cov)
 
-    def is_pure(self, tol: float = 1e-9) -> bool:
+    def is_pure(self) -> bool:
         d = symplectic_eigenvalues(self.cov)
-        return bool(np.abs(d - 1.0).max() <= tol * max(1.0, np.abs(self.cov).max()))
+        return bool(np.abs(d - 1.0).max() <= PURITY_TOL * max(1.0, np.abs(self.cov).max()))
 
 
 def _mode_count(value, name: str, least: int = 1) -> int:

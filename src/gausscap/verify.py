@@ -24,6 +24,10 @@ from .channels import (
     tensor_with_identity,
 )
 from .symplectic import (
+    CHECK_EXACT_TOL,
+    CHECK_GAUGE_TOL,
+    CHECK_GROWTH_TOL,
+    CHECK_UNIT_TOL,
     GaussianState,
     direct_sum,
     gauge_rotation,
@@ -50,6 +54,7 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 20250808
+_LADDER = (1e3, 1e4, 1e5, 1e6)  # spectrum_asymptotics probe energies; CHECK_GROWTH_TOL: 10 / 1e6
 
 
 @dataclass(frozen=True)
@@ -121,24 +126,14 @@ def reference_extended_attenuator_thermal_cov(
 # ---------------------------------------------------------------------------
 
 
-def check_extended_attenuator_degradability(
-    eta: float, N: float, tol: float = 1e-12
-) -> CheckOutcome:
+def check_extended_attenuator_degradability(eta: float, N: float) -> CheckOutcome:
     """The complement of the two-mode attenuator extension factors through
     the extension itself: composing with the (1-eta)/eta member reproduces
     the 1-eta member. Holds for eta > 1/2, where (1-eta)/eta <= 1."""
     name = f"extended_attenuator_degradability(eta={eta:g}, N={N:g})"
     if eta <= 0.5:
-        return CheckOutcome(
-            name,
-            True,
-            0.0,
-            tol,
-            0,
-            "degrading parameter (1-eta)/eta exceeds 1; outside the "
-            "degradability regime",
-            applicable=False,
-        )
+        details = "degrading parameter (1-eta)/eta exceeds 1; outside the degradability regime"
+        return CheckOutcome(name, True, 0.0, CHECK_EXACT_TOL, 0, details, applicable=False)
     forward = extended_attenuator_pair(eta, N)
     degrading = extended_attenuator_pair((1 - eta) / eta, N)
     target = extended_attenuator_pair(1 - eta, N)
@@ -150,7 +145,8 @@ def check_extended_attenuator_degradability(
         f"degrading stage CP defect {degrading.cp_defect():.3e}; "
         f"(X, Y) residual against the complement {residual:.3e}"
     )
-    return CheckOutcome(name, bool(residual <= tol), float(residual), tol, 1, details)
+    passed = bool(residual <= CHECK_EXACT_TOL)
+    return CheckOutcome(name, passed, float(residual), CHECK_EXACT_TOL, 1, details)
 
 
 def _flag_overlap(gamma: float, bra, flag, beta: float) -> complex:
@@ -168,7 +164,6 @@ def check_flag_condition(
     samples: int = 100,
     gamma: float = 1.0,
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-12,
 ) -> CheckOutcome:
     """Scalar degradability condition of the flagged additive channel.
 
@@ -193,7 +188,8 @@ def check_flag_condition(
         f", beta={beta:g})" if beta is not None else ", beta~U[0.25,4])"
     )
     details = f"max |lhs - rhs| over sampled label pairs = {worst:.3e}"
-    return CheckOutcome(name, bool(worst <= tol), float(worst), tol, samples, details)
+    passed = bool(worst <= CHECK_EXACT_TOL)
+    return CheckOutcome(name, passed, float(worst), CHECK_EXACT_TOL, samples, details)
 
 
 def _random_single_mode_state(rng) -> GaussianState:
@@ -203,10 +199,7 @@ def _random_single_mode_state(rng) -> GaussianState:
 
 
 def check_gauge_covariance(
-    family: str,
-    samples: int = 20,
-    seed: int = DEFAULT_SEED,
-    tol: float = 1e-10,
+    family: str, samples: int = 20, seed: int = DEFAULT_SEED
 ) -> CheckOutcome:
     """Rotating the input commutes with the channel up to the matching
     output rotation, at the level of means and covariances."""
@@ -243,12 +236,11 @@ def check_gauge_covariance(
         )
     name = f"gauge_covariance({family})"
     details = f"max mean/cov residual over sampled (theta, state) = {worst:.3e}"
-    return CheckOutcome(name, bool(worst <= tol), float(worst), tol, samples, details)
+    passed = bool(worst <= CHECK_GAUGE_TOL)
+    return CheckOutcome(name, passed, float(worst), CHECK_GAUGE_TOL, samples, details)
 
 
-def check_classical_mixing_representation(
-    beta: float, M: float = 1.0, tol: float = 1e-12
-) -> CheckOutcome:
+def check_classical_mixing_representation(beta: float, M: float = 1.0) -> CheckOutcome:
     """The flagged additive channel equals a classical mixing channel acting
     after the two squeezed flags are appended, and its thermal output matches
     the reference covariance entry by entry."""
@@ -272,7 +264,8 @@ def check_classical_mixing_representation(
         f"(X, Y) residual {residual:.3e}; thermal-output residual "
         f"{residual_vm:.3e}; mixing noise min eigenvalue {y_min_eig:.3e}"
     )
-    return CheckOutcome(name, bool(worst <= tol), float(worst), tol, 1, details)
+    passed = bool(worst <= CHECK_EXACT_TOL)
+    return CheckOutcome(name, passed, float(worst), CHECK_EXACT_TOL, 1, details)
 
 
 def _leading_coefficient(tops: list, xs: list) -> float:
@@ -284,8 +277,6 @@ def check_spectrum_asymptotics(
     beta: float | None = None,
     eta: float | None = None,
     N: float = 0.0,
-    ladder=(1e3, 1e4, 1e5, 1e6),
-    unit_tol: float = 1e-8,
 ) -> CheckOutcome:
     """Growth of the symplectic spectra with the probe energy.
 
@@ -293,33 +284,29 @@ def check_spectrum_asymptotics(
     as 2M, the joint (purified-probe) output has two eigenvalues growing as
     2 sqrt(M / beta) and two pinned at exactly 1; for the extended
     attenuator the top eigenvalue grows as 2 eta M. Leading coefficients are
-    extracted by a finite difference over the ladder, with relative
-    tolerance 10 / max(ladder).
+    extracted by a finite difference over the probe energies M in _LADDER,
+    with relative tolerance CHECK_GROWTH_TOL.
     """
     if (beta is None) == (eta is None):
         raise ValueError("give exactly one of beta (flagged) or eta (attenuator)")
-    ladder = sorted(ladder)
-    m_max = ladder[-1]
-    coeff_tol = 10.0 / m_max
     reports = []
-    worst_rel = 0.0
 
     if beta is not None:
         name = f"spectrum_asymptotics(flagged, beta={beta:g})"
         channel = flagged_additive_noise(beta)
-        joint = tensor_with_identity(channel, 1, side="right")
+        joint = tensor_with_identity(channel, 1)
         tops, joint_tops, unit_dev = [], [], 0.0
-        for m in ladder:
+        for m in _LADDER:
             d = symplectic_eigenvalues(apply(channel, thermal_state(m)).cov)
             tops.append(d[0])
             probe = GaussianState(np.zeros(4), two_mode_squeezed_cov(m))
             dj = symplectic_eigenvalues(apply(joint, probe).cov)
             joint_tops.append(dj[0])
             unit_dev = max(unit_dev, float(np.abs(dj[2:] - 1.0).max()))
-        a = _leading_coefficient(tops, ladder)
-        worst_rel = max(worst_rel, abs(a / 2.0 - 1.0))
+        a = _leading_coefficient(tops, _LADDER)
+        worst_rel = abs(a / 2.0 - 1.0)
         reports.append(f"thermal-output growth {a:.8f} per M (expect 2)")
-        sq = [math.sqrt(m) for m in ladder]
+        sq = [math.sqrt(m) for m in _LADDER]
         aj = _leading_coefficient(joint_tops, sq)
         worst_rel = max(worst_rel, abs(aj / (2.0 / math.sqrt(beta)) - 1.0))
         reports.append(
@@ -327,27 +314,24 @@ def check_spectrum_asymptotics(
             f"(expect {2.0 / math.sqrt(beta):.8f})"
         )
         reports.append(f"unit-eigenvalue deviation {unit_dev:.3e}")
-        passed = worst_rel <= coeff_tol and unit_dev <= unit_tol
+        passed = worst_rel <= CHECK_GROWTH_TOL and unit_dev <= CHECK_UNIT_TOL
         residual = max(worst_rel, unit_dev)
     else:
         name = f"spectrum_asymptotics(attenuator, eta={eta:g}, N={N:g})"
         channel = extended_attenuator(eta, N)
-        tops = []
-        for m in ladder:
-            d = symplectic_eigenvalues(apply(channel, thermal_state(m)).cov)
-            tops.append(d[0])
-        a = _leading_coefficient(tops, ladder)
+        tops = [symplectic_eigenvalues(apply(channel, thermal_state(m)).cov)[0] for m in _LADDER]
+        a = _leading_coefficient(tops, _LADDER)
         worst_rel = abs(a / (2.0 * eta) - 1.0)
         reports.append(f"thermal-output growth {a:.8f} per M (expect {2 * eta:g})")
-        passed = worst_rel <= coeff_tol
+        passed = worst_rel <= CHECK_GROWTH_TOL
         residual = worst_rel
 
     return CheckOutcome(
         name,
         bool(passed),
         float(residual),
-        max(coeff_tol, unit_tol),
-        len(ladder),
+        max(CHECK_GROWTH_TOL, CHECK_UNIT_TOL),
+        len(_LADDER),
         "; ".join(reports),
     )
 

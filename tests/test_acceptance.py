@@ -129,7 +129,7 @@ def test_criterion_05_reference_matrix_reproduction():
         worst = max(
             worst, np.abs(out.cov - reference_flagged_thermal_cov(beta, M)).max()
         )
-        joint = tensor_with_identity(channel, 1, side="right")
+        joint = tensor_with_identity(channel, 1)
         probe = GaussianState(np.zeros(4), two_mode_squeezed_cov(M))
         out_joint = apply(joint, probe)
         worst = max(
@@ -147,7 +147,7 @@ def test_criterion_06_spectrum_asymptotics():
     channel = flagged_additive_noise(1.0)
     top = symplectic_eigenvalues(apply(channel, thermal_state(M)).cov)[0]
     ratio = top / (2 * M)
-    joint = tensor_with_identity(channel, 1, side="right")
+    joint = tensor_with_identity(channel, 1)
     probe = GaussianState(np.zeros(4), two_mode_squeezed_cov(M))
     d = symplectic_eigenvalues(apply(joint, probe).cov)
     unit_dev = float(np.abs(d[2:] - 1.0).max())

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from gausscap.bounds import (
     DECOMPOSITION_GAIN_MAX,
+    DECOMPOSITION_GRID,
     FAMILIES,
     MAX_GRID_POINTS,
     InfeasibleDecompositionError,
@@ -46,7 +47,7 @@ from gausscap.channels import (
     identity_channel,
     phase_insensitive_family,
 )
-from gausscap.symplectic import bosonic_entropy
+from gausscap.symplectic import CP_SLACK, bosonic_entropy
 
 
 def test_additive_report_zero_capacity_regime():
@@ -801,6 +802,39 @@ def test_gain_limits_of_an_attenuator():
     hot = _attenuator_target(0.3, 1.0)  # t < 0
     for allocation in ("min_noise_first", "min_noise_last"):
         assert _feasible_count(hot, _scan_gains(hot, 400), "amplifier_first", allocation) == 400
+
+
+@given(
+    tau=st.floats(0.05, 20.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    exponent=st.floats(-15.0, -1.0),
+    near=st.sampled_from([1.0, -1.0]),
+    offset=st.floats(-15.0, -1.0),
+)
+def test_stage_pairs_follow_the_one_cp_rule(tau, sign, exponent, near, offset):
+    # 1 + tau - y = +-10^exponent. Besides the scan grid, the gains include
+    # the closed-form CP limits of both stage orders moved by a relative
+    # +-10^offset, where the unclamped noise sits within CP_SLACK and a little
+    # beyond. Each returned pair constructs as PhaseInsensitiveParams; each
+    # rejected one has its unclamped noise more than CP_SLACK below |1 - tau|.
+    target = PhaseInsensitiveParams(tau, 1.0 + tau - sign * 10.0**exponent)
+    limits = [(1.0 + tau + target.y) / 2.0]
+    excess = 1.0 + tau - target.y
+    if excess > 0.0:
+        limits.append(2.0 * tau / excess)
+    nearby = [limit * (1.0 + near * 10.0**offset) for limit in limits]
+    for gain in _scan_gains(target, DECOMPOSITION_GRID).tolist() + nearby:
+        for kind in ("amplifier_first", "amplifier_last"):
+            tau1, tau2 = (gain, tau / gain) if kind == "amplifier_first" else (tau / gain, gain)
+            for allocation in ("min_noise_first", "min_noise_last"):
+                stages = _stage_pair(target, gain, kind, allocation)
+                if stages is not None:
+                    PhaseInsensitiveParams(*stages[:2])
+                    PhaseInsensitiveParams(*stages[2:])
+                elif allocation == "min_noise_first":
+                    assert target.y - tau2 * abs(1.0 - tau1) < abs(1.0 - tau2) - CP_SLACK
+                else:
+                    assert (target.y - abs(1.0 - tau2)) / tau2 < abs(1.0 - tau1) - CP_SLACK
 
 
 def test_closed_form_domain_errors():

@@ -73,6 +73,20 @@ def test_cp_violation_raises():
         classical_mixing(-0.1 * np.eye(2))
 
 
+@pytest.mark.parametrize("beta", [1e-9, 1e-10, 1e-12])
+def test_cp_certificate_slack_grows_with_the_noise_matrix(beta):
+    # |Y|max ~ 2/beta, and the eigensolver's rounding grows with it: at
+    # beta = 1e-9 the min eigenvalue is about -3e-7, far below -CP_TOL.
+    assert flagged_additive_noise(beta).n_out == 3
+
+
+def test_cp_certificate_still_rejects_real_deficits_at_large_scale():
+    g = 2e9
+    with pytest.raises(CPViolationError):  # 1e-3 less noise than the amplifier needs
+        GaussianChannel(np.sqrt(g) * np.eye(2), (g - 1.0 - 1e-3) * np.eye(2))
+    assert amplifier(g).cp_defect() > -1e-3  # the exact map at that scale is accepted
+
+
 def test_param_domain_errors():
     with pytest.raises(ParamDomainError):
         attenuator(1.2, 0.0)
@@ -257,8 +271,8 @@ def test_tensor_with_identity():
     ch = tensor_with_identity(identity_channel(1), 1)
     assert np.allclose(ch.X, np.eye(4)) and np.allclose(ch.Y, 0.0)
     assert tensor_with_identity(flagged_additive_noise(1.0), 2).n_out == 5
-    left = tensor_with_identity(additive_noise(2.0), 1, side="left")
-    assert np.allclose(left.Y, np.diag([0.0, 0.0, 1.0, 1.0]))
+    right = tensor_with_identity(additive_noise(2.0), 1)
+    assert np.allclose(right.Y, np.diag([1.0, 1.0, 0.0, 0.0]))
     ch = additive_noise(2.0)
     assert tensor_with_identity(ch, 0) is ch
 
@@ -288,7 +302,7 @@ def test_additive_tensor_identity_matches_joint_reference_blocks():
     # Additive noise on half of a two-mode squeezed state reproduces the
     # signal/reference blocks of the flagged channel's joint output.
     beta, M = 1.0, 2.0
-    ch = tensor_with_identity(additive_noise(beta), 1, side="right")
+    ch = tensor_with_identity(additive_noise(beta), 1)
     out = apply(ch, two_mode_squeezed_state(M))
     ref = reference_flagged_joint_cov(beta, M)
     idx = np.ix_([0, 1, 6, 7], [0, 1, 6, 7])

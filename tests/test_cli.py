@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -285,16 +286,46 @@ def test_figure_bad_grid_exit_code(capsys):
         (["fig1", "--x-min", "-0.1"], "x_min"),
         (["fig2", "--g-offset-min", "0"], "g_offset_min"),
         (["fig2", "--g-offset-min", "nan"], "g_offset_min"),
-        (["fig3", "--grid", "5"], "--grid"),
+        (["fig1", "--x-min", "1e-320"], "x_min"),  # 1/x_min, the derived beta, overflows
         (["fig1", "--points", "7"], "--points"),
         (["fig2", "--eta-step", "0.1"], "--eta-step"),
         (["fig3-inset", "--x-max", "0.5"], "--x-max"),
+        (["fig2", "--g-offset-min", "1e-320"], "g_offset_min"),  # the first gain rounds to 1
     ],
 )
 def test_figure_bad_inputs_are_named(capsys, tmp_path, argv, name):
     code, out, err = run_cli(capsys, "figure", *argv, "--out", str(tmp_path / "f.csv"))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and name in err
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fig2", "--g-max=inf"], "error: g_max must be finite, got inf"),
+        (["fig2", "--g-max=-inf"], "error: g_max must be finite, got -inf"),
+        (["fig2", "--g-max=nan"], "error: g_max must be finite, got nan"),
+        (["fig1", "--x-step=inf"], "error: need 1 to 1000000 grid points, got [0.02, 0.7] step inf"),
+        (["fig3", "--eta-step=inf"], "error: need 1 to 1000000 grid points, got [0.55, 0.995] step inf"),
+    ],
+    ids=["g_max=inf", "g_max=-inf", "g_max=nan", "fig1-step=inf", "fig3-step=inf"],
+)
+def test_non_finite_grid_inputs_are_named_without_a_warning(capsys, tmp_path, argv, message):
+    # numpy would warn on the inf before any check named the input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "figure", *argv, "--out", str(tmp_path / "f.csv"))
+    assert (code, out, err) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("figure_id", ["fig3", "fig3-inset"])
+def test_removed_grid_flag_is_a_usage_error(capsys, tmp_path, figure_id):
+    # fig3-inset's decomposition scan always uses DECOMPOSITION_GRID gains.
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", figure_id, "--grid", "5", "--out", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 5" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
 
 
@@ -335,9 +366,7 @@ def test_fig3_ratios_at_least_one(tmp_path):
 
 
 def test_fig3_inset_combined_not_above_other_uppers():
-    series = build_figure(
-        "fig3-inset", eta_min=0.68, eta_max=0.70, step=0.01, grid=120
-    )
+    series = build_figure("fig3-inset", eta_min=0.68, eta_max=0.70, step=0.01)
     for name in ("plob", "rosati", "extension"):
         for combined, other in zip(series.column("combined"), series.column(name)):
             if combined is not None and other is not None:

@@ -60,13 +60,13 @@ def test_fig3_sweep_equals_report_ratios(N, eta_min, steps, step):
 
 @pytest.mark.parametrize("N", [0.0, 0.05, 5.0])
 def test_fig3_inset_combined_is_the_decomposition_ratio(N):
-    series = fig3_inset_series(N=N, eta_min=0.45, eta_max=0.75, step=0.05, grid=7)
+    series = fig3_inset_series(N=N, eta_min=0.45, eta_max=0.75, step=0.05)
     fig3 = fig3_series(N=N, eta_min=0.45, eta_max=0.75, step=0.05)
     assert {k: v for k, v in series.columns.items() if k != "combined"} == fig3.columns
     for eta, low, cell in zip(series.x_values, series.column("lower"), series.column("combined")):
         if low > 0.0:
             target = PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
-            assert cell == combined_decomposition_bound(target, grid=7).value / low
+            assert cell == combined_decomposition_bound(target).value / low
         else:
             assert cell is None
 
