@@ -25,7 +25,7 @@ print("=" * 72)
 print("The flag condition pins the rescaling factor to exactly 1")
 print("=" * 72)
 for gamma in (0.5, 1.0, 2.0):
-    outcome = check_flag_condition(samples=1000, gamma=gamma)
+    outcome = check_flag_condition(gamma=gamma)
     verdict = "holds" if outcome.passed else "breaks"
     print(
         f"gamma={gamma:3.1f}: identity {verdict} "

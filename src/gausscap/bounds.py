@@ -563,7 +563,7 @@ def coherent_info_thermal(
         raise ParamDomainError("complement channel must take one mode")
 
     if complement is None:
-        other, probe = tensor_with_identity(channel, 1), two_mode_squeezed_state
+        other, probe = tensor_with_identity(channel), two_mode_squeezed_state
     else:
         other, probe = complement, thermal_state
 

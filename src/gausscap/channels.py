@@ -180,7 +180,7 @@ def classical_mixing(Y: np.ndarray) -> GaussianChannel:
 
 def identity_channel(n_modes: int = 1) -> GaussianChannel:
     """Identity map on the given number of modes (at least one)."""
-    n_modes = _mode_count(n_modes, "n_modes")
+    n_modes = _mode_count(n_modes)
     return GaussianChannel(np.eye(2 * n_modes), np.zeros((2 * n_modes, 2 * n_modes)))
 
 
@@ -271,14 +271,10 @@ def compose(second: GaussianChannel, first: GaussianChannel) -> GaussianChannel:
     return GaussianChannel(X, (Y + Y.T) / 2)
 
 
-def tensor_with_identity(channel: GaussianChannel, extra_modes: int) -> GaussianChannel:
-    """Extend a channel by identity wires on extra modes after its own."""
-    extra_modes = _mode_count(extra_modes, "extra_modes", least=0)
-    if extra_modes == 0:
-        return channel
-    X = direct_sum(channel.X, np.eye(2 * extra_modes))
-    Y = direct_sum(channel.Y, np.zeros((2 * extra_modes, 2 * extra_modes)))
-    return GaussianChannel(X, Y)
+def tensor_with_identity(channel: GaussianChannel) -> GaussianChannel:
+    """Extend a channel by an identity wire on one mode after its own."""
+    X = direct_sum(channel.X, np.eye(2))
+    return GaussianChannel(X, direct_sum(channel.Y, np.zeros((2, 2))))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import sys
 from . import __version__
 from .bounds import (
     FAMILIES,
+    ORACLE_DEFAULT_M,
     OracleDivergedError,
     bounds_report,
     coherent_info_thermal,
@@ -25,8 +26,33 @@ from .channels import (
     flagged_additive_noise,
     identity_channel,
 )
-from .figures import FIGURE_IDS, build_figure, write_csv
+from .figures import build_figure, write_csv
 from .verify import DEFAULT_SEED, run_all_checks, suite_entries
+
+# Each figure's grid flags: flag -> (builder argument, type, help). A flag
+# left out is not passed on, so the builder's default applies.
+_FIG3_FLAGS = {
+    "--n": ("N", float, "environment photon number"),
+    "--eta-min": ("eta_min", float, "transmissivity minimum"),
+    "--eta-max": ("eta_max", float, "transmissivity maximum"),
+    "--eta-step": ("step", float, "transmissivity step"),
+}
+_FIGURE_FLAGS = {
+    "fig1": {
+        "--x-min": ("x_min", float, "inverse-beta minimum"),
+        "--x-max": ("x_max", float, "inverse-beta maximum"),
+        "--x-step": ("step", float, "inverse-beta step"),
+    },
+    "fig2": {
+        "--n": ("N", float, "environment photon number"),
+        "--g-offset-min": ("g_offset_min", float, "minimum gain - 1"),
+        "--g-max": ("g_max", float, "maximum gain"),
+        "--points": ("points", int, "number of grid points"),
+    },
+    "fig3": _FIG3_FLAGS,
+    "fig3-inset": _FIG3_FLAGS,
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -46,19 +72,16 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument("--n", type=float, help="environment photon number")
     bound.add_argument("--format", choices=("json", "csv"), default="json")
 
-    figure = sub.add_parser("figure", help="write one figure's data series as CSV")
-    figure.add_argument("id", choices=FIGURE_IDS)
-    figure.add_argument("--out", help="output path (default <id>.csv in the output dir)")
-    figure.add_argument("--n", type=float, help="environment photon number (fig2/fig3)")
-    figure.add_argument("--x-min", type=float, help="fig1 inverse-beta minimum")
-    figure.add_argument("--x-max", type=float, help="fig1 inverse-beta maximum")
-    figure.add_argument("--x-step", type=float, help="fig1 inverse-beta step")
-    figure.add_argument("--g-offset-min", type=float, help="fig2 minimum gain - 1")
-    figure.add_argument("--g-max", type=float, help="fig2 maximum gain")
-    figure.add_argument("--points", type=int, help="fig2 number of grid points")
-    figure.add_argument("--eta-min", type=float, help="fig3 transmissivity minimum")
-    figure.add_argument("--eta-max", type=float, help="fig3 transmissivity maximum")
-    figure.add_argument("--eta-step", type=float, help="fig3 transmissivity step")
+    figure = sub.add_parser(
+        "figure", help="write one figure's data series as CSV",
+        description="Each figure takes its own grid flags: see figure <id> --help.",
+    )
+    ids = figure.add_subparsers(dest="id", required=True)
+    for figure_id, flags in _FIGURE_FLAGS.items():
+        fig = ids.add_parser(figure_id)
+        fig.add_argument("--out", help="output path (default <id>.csv in the output dir)")
+        for flag, (name, kind, text) in flags.items():
+            fig.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS, help=text)
 
     verify = sub.add_parser("verify", help="run the structural certification suite")
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -77,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--beta", type=float, help="flagged inverse temperature")
     oracle.add_argument("--eta", type=float, help="extended-attenuator transmissivity")
     oracle.add_argument("--n", type=float, help="environment photon number")
-    oracle.add_argument("--m", type=float, default=1e6, help="probe photon number")
+    oracle.add_argument("--m", type=float, default=ORACLE_DEFAULT_M, help="probe photon number")
     oracle.add_argument("--strategy", choices=("purified", "complement"),
                         help="default: complement where available, else purified")
     return parser
@@ -111,26 +134,11 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-_FIG3_FLAGS = {"n": "N", "eta_min": "eta_min", "eta_max": "eta_max", "eta_step": "step"}
-# The grid flags each figure takes: argparse dest -> builder argument.
-_FIGURE_FLAGS = {
-    "fig1": {"x_min": "x_min", "x_max": "x_max", "x_step": "step"},
-    "fig2": {"n": "N", "g_offset_min": "g_offset_min", "g_max": "g_max", "points": "points"},
-    "fig3": _FIG3_FLAGS,
-    "fig3-inset": _FIG3_FLAGS,
-}
-
-
-def _figure_overrides(args) -> dict:
-    flags = _FIGURE_FLAGS[args.id]
-    for dest in dict.fromkeys(d for taken in _FIGURE_FLAGS.values() for d in taken):
-        if dest not in flags and getattr(args, dest) is not None:
-            raise ParamDomainError(f"figure {args.id} does not take --{dest.replace('_', '-')}")
-    return {name: getattr(args, dest) for dest, name in flags.items()}
-
-
 def _cmd_figure(args) -> int:
-    series = build_figure(args.id, **_figure_overrides(args))
+    given = vars(args)
+    overrides = {name: given[name] for name, _, _ in _FIGURE_FLAGS[args.id].values()
+                 if name in given}
+    series = build_figure(args.id, **overrides)
     out_dir = os.environ.get("GAUSSCAP_OUTPUT_DIR", ".")
     path = args.out or os.path.join(out_dir, f"{args.id}.csv")
     write_csv(series, path)

@@ -203,5 +203,4 @@ def build_figure(figure_id: str, **overrides) -> FigureSeries:
         raise ParamDomainError(
             f"unknown figure {figure_id!r}; choose from {FIGURE_IDS}"
         )
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return _BUILDERS[figure_id](**kwargs)
+    return _BUILDERS[figure_id](**overrides)

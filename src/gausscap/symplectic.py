@@ -322,19 +322,19 @@ class GaussianState:
         return bool(np.abs(d - 1.0).max() <= PURITY_TOL * max(1.0, np.abs(self.cov).max()))
 
 
-def _mode_count(value, name: str, least: int = 1) -> int:
-    """`value` as a mode count of at least `least`: a Python or numpy integer
-    (not a bool), or a ValueError that names `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {name}={value}")
-    return int(value)
+def _mode_count(n_modes) -> int:
+    """`n_modes` as a mode count of at least 1: a Python or numpy integer
+    (not a bool), or a ValueError that names n_modes."""
+    if isinstance(n_modes, bool) or not isinstance(n_modes, (int, np.integer)):
+        raise ValueError(f"n_modes must be an integer, got n_modes={n_modes!r}")
+    if n_modes < 1:
+        raise ValueError(f"need n_modes >= 1, got n_modes={n_modes}")
+    return int(n_modes)
 
 
 def vacuum_state(n_modes: int = 1) -> GaussianState:
     """Vacuum on the given number of modes (at least one)."""
-    n_modes = _mode_count(n_modes, "n_modes")
+    n_modes = _mode_count(n_modes)
     return GaussianState(np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 

@@ -104,9 +104,9 @@ def test_criterion_03_degradability_identity():
 
 
 def test_criterion_04_flag_condition():
-    good = check_flag_condition(samples=1000, gamma=1.0)
-    bad_half = check_flag_condition(samples=1000, gamma=0.5)
-    bad_double = check_flag_condition(samples=1000, gamma=2.0)
+    good = check_flag_condition(gamma=1.0)
+    bad_half = check_flag_condition(gamma=0.5)
+    bad_double = check_flag_condition(gamma=2.0)
     passed = (
         good.max_residual <= 1e-12
         and bad_half.max_residual > 0.1
@@ -129,7 +129,7 @@ def test_criterion_05_reference_matrix_reproduction():
         worst = max(
             worst, np.abs(out.cov - reference_flagged_thermal_cov(beta, M)).max()
         )
-        joint = tensor_with_identity(channel, 1)
+        joint = tensor_with_identity(channel)
         probe = GaussianState(np.zeros(4), two_mode_squeezed_cov(M))
         out_joint = apply(joint, probe)
         worst = max(
@@ -147,7 +147,7 @@ def test_criterion_06_spectrum_asymptotics():
     channel = flagged_additive_noise(1.0)
     top = symplectic_eigenvalues(apply(channel, thermal_state(M)).cov)[0]
     ratio = top / (2 * M)
-    joint = tensor_with_identity(channel, 1)
+    joint = tensor_with_identity(channel)
     probe = GaussianState(np.zeros(4), two_mode_squeezed_cov(M))
     d = symplectic_eigenvalues(apply(joint, probe).cov)
     unit_dev = float(np.abs(d[2:] - 1.0).max())

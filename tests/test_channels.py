@@ -268,13 +268,11 @@ def test_compose_associative_on_random_triples():
 
 
 def test_tensor_with_identity():
-    ch = tensor_with_identity(identity_channel(1), 1)
+    ch = tensor_with_identity(identity_channel(1))
     assert np.allclose(ch.X, np.eye(4)) and np.allclose(ch.Y, 0.0)
-    assert tensor_with_identity(flagged_additive_noise(1.0), 2).n_out == 5
-    right = tensor_with_identity(additive_noise(2.0), 1)
+    assert tensor_with_identity(flagged_additive_noise(1.0)).n_out == 4
+    right = tensor_with_identity(additive_noise(2.0))
     assert np.allclose(right.Y, np.diag([1.0, 1.0, 0.0, 0.0]))
-    ch = additive_noise(2.0)
-    assert tensor_with_identity(ch, 0) is ch
 
 
 @pytest.mark.parametrize("n_modes", [0, -1])
@@ -287,22 +285,17 @@ def test_identity_channel_needs_a_mode(n_modes):
 def test_mode_counts_must_be_integers(n_modes):
     with pytest.raises(ValueError, match=r"n_modes must be an integer, got n_modes="):
         identity_channel(n_modes)
-    with pytest.raises(ValueError, match=r"extra_modes must be an integer, got extra_modes="):
-        tensor_with_identity(additive_noise(1.0), n_modes)
 
 
 def test_numpy_integer_mode_counts_accepted():
     assert identity_channel(np.int64(2)).n_in == 2
-    assert tensor_with_identity(additive_noise(1.0), np.int64(2)).n_out == 3
-    with pytest.raises(ValueError, match="need extra_modes >= 0, got extra_modes=-1"):
-        tensor_with_identity(additive_noise(1.0), -1)
 
 
 def test_additive_tensor_identity_matches_joint_reference_blocks():
     # Additive noise on half of a two-mode squeezed state reproduces the
     # signal/reference blocks of the flagged channel's joint output.
     beta, M = 1.0, 2.0
-    ch = tensor_with_identity(additive_noise(beta), 1)
+    ch = tensor_with_identity(additive_noise(beta))
     out = apply(ch, two_mode_squeezed_state(M))
     ref = reference_flagged_joint_cov(beta, M)
     idx = np.ix_([0, 1, 6, 7], [0, 1, 6, 7])

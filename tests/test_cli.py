@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import math
 import warnings
@@ -6,8 +8,10 @@ import pytest
 
 from gausscap.bounds import MAX_GRID_POINTS
 from gausscap.channels import ParamDomainError
-from gausscap.cli import main
+from gausscap.cli import _build_parser, main
 from gausscap.figures import (
+    _BUILDERS,
+    FIGURE_IDS,
     FigureSeries,
     _grid,
     build_figure,
@@ -287,9 +291,6 @@ def test_figure_bad_grid_exit_code(capsys):
         (["fig2", "--g-offset-min", "0"], "g_offset_min"),
         (["fig2", "--g-offset-min", "nan"], "g_offset_min"),
         (["fig1", "--x-min", "1e-320"], "x_min"),  # 1/x_min, the derived beta, overflows
-        (["fig1", "--points", "7"], "--points"),
-        (["fig2", "--eta-step", "0.1"], "--eta-step"),
-        (["fig3-inset", "--x-max", "0.5"], "--x-max"),
         (["fig2", "--g-offset-min", "1e-320"], "g_offset_min"),  # the first gain rounds to 1
     ],
 )
@@ -319,14 +320,57 @@ def test_non_finite_grid_inputs_are_named_without_a_warning(capsys, tmp_path, ar
     assert (code, out, err) == (2, "", message + "\n")
 
 
-@pytest.mark.parametrize("figure_id", ["fig3", "fig3-inset"])
-def test_removed_grid_flag_is_a_usage_error(capsys, tmp_path, figure_id):
-    # fig3-inset's decomposition scan always uses DECOMPOSITION_GRID gains.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # no figure takes --grid: fig3-inset's scan always uses DECOMPOSITION_GRID gains
+        ["fig3", "--grid", "5"],
+        ["fig3-inset", "--grid", "5"],
+        # each figure's subcommand has only its own grid flags
+        ["fig1", "--points", "7"],
+        ["fig2", "--eta-step", "0.1"],
+        ["fig3-inset", "--x-max", "0.5"],
+    ],
+    ids=["fig3", "fig3-inset", "fig1-points", "fig2-eta-step", "fig3-inset-x-max"],
+)
+def test_removed_grid_flag_is_a_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["figure", figure_id, "--grid", "5", "--out", str(tmp_path / "f.csv")])
+        main(["figure", *argv, "--out", str(tmp_path / "f.csv")])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --grid 5" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
     assert not (tmp_path / "f.csv").exists()
+
+
+def _figure_subcommands() -> dict:
+    """{figure id: its argparse subparser} under `gausscap figure`."""
+    def commands(parser):
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    return commands(commands(_build_parser()).choices["figure"]).choices
+
+
+def test_figure_subcommands_match_their_builders():
+    subcommands = _figure_subcommands()
+    assert set(subcommands) == set(FIGURE_IDS)
+    for figure_id, parser in subcommands.items():
+        flags = {a.dest: a.type for a in parser._actions if a.dest not in ("help", "out")}
+        params = inspect.signature(_BUILDERS[figure_id]).parameters
+        assert set(flags) == set(params), figure_id
+        for name, kind in flags.items():
+            assert kind is type(params[name].default), (figure_id, name)
+
+
+@pytest.mark.parametrize(
+    "figure_id, listed, absent",
+    [("fig1", "--x-step", "--points"), ("fig2", "--points", "--x-step"),
+     ("fig3", "--eta-step", "--g-max"), ("fig3-inset", "--eta-step", "--points")],
+)
+def test_figure_help_lists_only_its_own_flags(capsys, figure_id, listed, absent):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", figure_id, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert listed in out and absent not in out
 
 
 @pytest.mark.parametrize(

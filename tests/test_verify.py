@@ -15,6 +15,27 @@ from gausscap.verify import (
 )
 
 
+# Each outcome of the suite as frozen before the flag-condition and
+# gauge-covariance sample counts became constants: (name, passed, applicable,
+# tolerance, samples). Residuals are left out, since they depend on the BLAS
+# build.
+@pytest.mark.parametrize("gamma, flag_passes", [(1.0, True), (2.0, False)])
+def test_suite_outcomes_frozen(gamma, flag_passes):
+    expected = [
+        ("classical_mixing_representation(beta=1, M=2)", True, True, 1e-12, 1),
+        ("classical_mixing_representation(beta=2, M=1)", True, True, 1e-12, 1),
+        ("extended_attenuator_degradability(eta=0.51, N=2)", True, True, 1e-12, 1),
+        ("extended_attenuator_degradability(eta=0.8, N=0.05)", True, True, 1e-12, 1),
+        (f"flag_condition(gamma={gamma:g}, beta~U[0.25,4])", flag_passes, True, 1e-12, 1000),
+        ("gauge_covariance(extended_attenuator)", True, True, 1e-10, 20),
+        ("gauge_covariance(flagged_additive)", True, True, 1e-10, 20),
+        ("spectrum_asymptotics(attenuator, eta=0.8, N=0.05)", True, True, 1e-05, 4),
+        ("spectrum_asymptotics(flagged, beta=1)", True, True, 1e-05, 4),
+    ]
+    outcomes = run_all_checks(DEFAULT_SEED, gamma)
+    assert [(o.name, o.passed, o.applicable, o.tolerance, o.samples) for o in outcomes] == expected
+
+
 def test_full_suite_passes_with_default_seed():
     outcomes = run_all_checks()
     assert all(o.passed for o in outcomes if o.applicable)
@@ -51,7 +72,7 @@ def test_degradability_random_parameters():
 
 
 def test_flag_condition_gamma_one_passes():
-    outcome = check_flag_condition(samples=500)
+    outcome = check_flag_condition()
     assert outcome.passed
     assert outcome.max_residual <= 1e-12
 
@@ -73,7 +94,7 @@ def test_flag_condition_symmetric_labels_any_gamma():
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0])
 def test_flag_condition_fails_away_from_unit_gamma(gamma):
-    outcome = check_flag_condition(samples=500, gamma=gamma)
+    outcome = check_flag_condition(gamma=gamma)
     assert not outcome.passed
     assert outcome.max_residual > 0.1
 
@@ -118,7 +139,7 @@ def test_reference_matrices_consistent():
 
 
 def test_outcome_summary_line_format():
-    outcome = check_flag_condition(samples=10)
+    outcome = check_flag_condition()
     line = outcome.summary_line()
     assert "PASS" in line and "flag_condition" in line
     na = check_extended_attenuator_degradability(0.3, 0.1)
@@ -126,6 +147,6 @@ def test_outcome_summary_line_format():
 
 
 def test_seed_changes_samples_not_verdict():
-    a = check_flag_condition(samples=200, seed=DEFAULT_SEED)
-    b = check_flag_condition(samples=200, seed=DEFAULT_SEED + 1)
+    a = check_flag_condition(seed=DEFAULT_SEED)
+    b = check_flag_condition(seed=DEFAULT_SEED + 1)
     assert a.passed and b.passed
