@@ -345,7 +345,12 @@ def _family_of(tau: float, y: float) -> tuple[str, tuple]:
 
 def from_phase_insensitive(params: PhaseInsensitiveParams) -> GaussianChannel:
     """Build the channel realizing (tau, y), in the family picked by
-    phase_insensitive_family."""
+    phase_insensitive_family.
+
+    That family rounds tau within ISO_TOL of 1 to 1, and y within ISO_TOL of
+    0 to 0 for the identity; the channel keeps the exact moments of (tau, y)
+    under the family's tag, so composing channels composes their (tau, y).
+    """
     family, args = phase_insensitive_family(params)
     constructors = {
         "identity": identity_channel,
@@ -353,7 +358,11 @@ def from_phase_insensitive(params: PhaseInsensitiveParams) -> GaussianChannel:
         "attenuator": attenuator,
         "amplifier": amplifier,
     }
-    return constructors[family](*args)
+    channel = constructors[family](*args)
+    if family in ("identity", "additive"):
+        X, Y = math.sqrt(params.tau) * np.eye(2), params.y * np.eye(2)
+        channel = GaussianChannel(X, Y, channel.family, channel.params)
+    return channel
 
 
 _COMPLEMENT_BY_EXCHANGE = {

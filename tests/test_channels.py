@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gausscap.bounds import coherent_info_thermal
 from gausscap.channels import (
@@ -330,6 +330,8 @@ def test_phase_insensitive_rejects_non_isotropic():
     st.floats(min_value=0.3, max_value=2.0),
     st.floats(min_value=0.0, max_value=1.0),
 )
+@example(1.0, 0.0, 1.0, 1e-10)  # y within ISO_TOL of 0 at tau = 1: the identity's family
+@example(1.0 + 5e-11, 0.0, 1.0 - 5e-11, 0.0)  # tau within ISO_TOL of 1: additive noise
 def test_phase_insensitive_composition_algebra(tau_a, extra_a, tau_b, extra_b):
     a = PhaseInsensitiveParams(tau_a, abs(1 - tau_a) + extra_a)
     b = PhaseInsensitiveParams(tau_b, abs(1 - tau_b) + extra_b)
