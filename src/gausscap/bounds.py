@@ -16,8 +16,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .channels import (
     GaussianChannel,
     ParamDomainError,
@@ -72,8 +70,8 @@ ORACLE_DEFAULT_M = 1e6
 ORACLE_DIVERGENCE_GAP = 1e-2
 ORACLE_DIVERGENCE_M = 1e5
 
-MAX_GRID_POINTS = 10**6  # largest grid a figure or the decomposition scan allocates
-DECOMPOSITION_GRID = 200  # gains the decomposition scan evaluates by default
+MAX_GRID_POINTS = 10**6  # largest grid a figure allocates or the decomposition scan accepts
+DECOMPOSITION_GRID = 200  # default `grid` of the decomposition scan, which no longer steers it
 DECOMPOSITION_GAIN_MAX = 50.0  # the scan's gains reach this multiple of max(1, tau)
 
 
@@ -82,14 +80,14 @@ class OracleDivergedError(RuntimeError):
 
 
 class InfeasibleDecompositionError(RuntimeError):
-    """No completely positive two-stage decomposition found on the grid."""
+    """The target has no finite direct bound to decompose (the identity)."""
 
 
 def _checked_by(check):
     """Decorator making a public closed form from an unchecked core: the
     public function runs its family's domain `check` on the same arguments
     first. The core stays reachable as `.core`; the table rows hold it, since
-    their callers (`_row_values`, `_direct_upper_bound`) check a point once."""
+    their callers (`_row_values`, the decomposition scan) check a point once."""
 
     def public(core):
         @functools.wraps(core)
@@ -293,6 +291,9 @@ class BoundRow:
     `formula` is the unchecked core of the bound's public closed form: the
     caller runs the family's `check` once per point, before any row.
     `applies` is the applicability predicate (None: the row always applies).
+    A row may give a `margin` instead, linear in the channel's (tau, y): it
+    applies where the margin is positive, and the decomposition scan solves
+    the margin for the gain where the row stops applying.
     Where a row does not apply its raw value is NaN, unless the formula is
     `defined_everywhere`; then its value is still reported, as inapplicable.
     `note` is the report text, or a callable (applies, *params) -> text.
@@ -303,6 +304,11 @@ class BoundRow:
     applies: Callable[..., bool] | None = None
     note: str | Callable[..., str] = ""
     defined_everywhere: bool = False
+    margin: Callable[..., float] | None = None
+
+    def __post_init__(self):
+        if self.margin is not None:
+            object.__setattr__(self, "applies", lambda *args: self.margin(*args) > 0.0)
 
 
 @dataclass(frozen=True)
@@ -383,15 +389,15 @@ FAMILIES = {
             BoundRow(
                 "rosati",
                 attenuator_rosati.core,
-                lambda eta, N: eta - N * (1.0 - eta) > 0.0,
-                "weak-degradability data processing to a pure-loss channel",
+                note="weak-degradability data processing to a pure-loss channel",
+                margin=lambda eta, N: eta - N * (1.0 - eta),  # (1 + tau - y) / 2
             ),
             BoundRow(
                 "extension",
                 attenuator_extension.core,
-                lambda eta, N: eta > 0.5,
-                "degradable two-mode extension capacity (valid for eta > 1/2)",
+                note="degradable two-mode extension capacity (valid for eta > 1/2)",
                 defined_everywhere=True,
+                margin=lambda eta, N: eta - 0.5,
             ),
         ),
     ),
@@ -611,21 +617,11 @@ class DecompositionBound:
 
 def _direct_upper_bound(tau: float, y: float) -> float:
     """Best (smallest) clamped upper bound on the phase-insensitive channel
-    (tau, y): the minimum over its family's applicable upper rows, on plain
-    floats and without building a report (this is the decomposition scan's
-    inner loop)."""
+    (tau, y): its report's "combined", from the same row loop but without
+    building a report; inf for the identity, which carries no bound."""
     family, args = _family_of(tau, y)
     fam = FAMILIES.get(family)
-    if fam is None:
-        return math.inf  # identity stage carries no bound
-    fam.check(*args)
-    best = math.inf
-    for row in fam.upper_rows:
-        if row.applies is None or row.applies(*args):
-            raw = row.formula(*args)
-            if raw < best:  # NaN never compares less, as in _row_values
-                best = raw
-    return max(0.0, best)
+    return math.inf if fam is None else max(0.0, _row_values(fam, args)[1])
 
 
 _GOLDEN_TOL = 1e-6  # golden section stops at this bracket width over max(1, |a| + |b|)
@@ -680,6 +676,80 @@ def golden_section_minimize(f, a: float, b: float):
     return x, min(f1, f2)
 
 
+def _gain_interval(target: PhaseInsensitiveParams, kind: str) -> tuple:
+    """Gains [max(1, tau), G_max] with a CP stage pair in both allocations
+    (`_stage_pair`'s rule solved for G): amplifier_first G <= 2 tau / (1 + tau - y),
+    or any G if 1 + tau <= y, and amplifier_last G <= (1 + tau + y) / 2; G_max
+    is capped at DECOMPOSITION_GAIN_MAX times the start."""
+    start = max(1.0, target.tau)
+    if kind == "amplifier_first":
+        excess = 1.0 + target.tau - target.y
+        end = 2.0 * target.tau / excess if excess > 0.0 else math.inf
+    else:
+        end = (1.0 + target.tau + target.y) / 2.0
+    return start, max(start, min(end, DECOMPOSITION_GAIN_MAX * start))
+
+
+_STEP = math.exp(1e-6)  # a row's search probes its ends this factor (1e-6 in log G) inside
+
+
+def _branch_minimum(target, kind, allocation, lo, hi) -> tuple:
+    """(bound, gain) of the best candidate of one branch on its gains [lo, hi].
+
+    One stage is quantum-limited, so its bound falls with the gain and is
+    least at hi; the other (noisy) stage moves on a line in (tau, y), in one
+    family inside (lo, hi). The minimum is thus the best of the two ends,
+    taken whole, and of each noisy upper row's minimum where that row
+    applies. A row is searched by golden section only when it falls away
+    from both ends, read one and two steps inside them (a row need not be
+    defined at an end itself); the winner is re-evaluated whole.
+    """
+
+    def whole(gain):
+        stages = _stage_pair(target, gain, kind, allocation)
+        return math.inf if stages is None else _stages_bound(*stages), gain
+
+    k = 2 if allocation == "min_noise_first" else 0  # the noisy stage's tau is G or tau / G
+    family = "amplifier" if (kind == "amplifier_first") == (k == 0) else "attenuator"
+    fam = FAMILIES[family]
+
+    @functools.cache
+    def noisy(gain):
+        """Checked parameters of the noisy stage, or None off its family."""
+        stages = _stage_pair(target, gain, kind, allocation)
+        name, args = _family_of(*stages[k : k + 2]) if stages else ("", ())
+        if name == family:
+            fam.check(*args)
+            return args
+
+    def value(row, gain):
+        args = noisy(gain)
+        if args and (row.applies is None or row.applies(*args)):
+            return row.formula(*args), gain
+        return math.inf, gain
+
+    best, row_best = min(whole(lo), whole(hi)), (math.inf, lo)
+    args_lo, args_hi = noisy(lo * _STEP), noisy(hi / _STEP)  # None on a tiny interval
+    for row in fam.upper_rows if args_lo and args_hi else ():
+        a, b = lo, hi
+        if row.margin is not None:  # linear in the stage's tau, which is args[0]
+            m_lo, m_hi = row.margin(*args_lo), row.margin(*args_hi)
+            if (m_lo > 0.0) != (m_hi > 0.0):
+                t = args_lo[0] + m_lo * (args_hi[0] - args_lo[0]) / (m_lo - m_hi)
+                cut = min(hi, max(lo, t if family == "amplifier" else target.tau / t))
+                a, b = (a, cut) if m_lo > 0.0 else (cut, b)
+            elif m_lo <= 0.0:
+                continue
+        probes = [value(row, g) for g in (a * _STEP, a * _STEP**2, b / _STEP**2, b / _STEP)]
+        if probes[1][0] < probes[0][0] and probes[2][0] < probes[3][0]:
+            x, fx = golden_section_minimize(
+                lambda lg: value(row, math.exp(lg))[0], math.log(a), math.log(b)
+            )
+            probes.append((fx, math.exp(x)))
+        row_best = min(row_best, *probes)
+    return min(best, whole(row_best[1])) if row_best < best else best
+
+
 def combined_decomposition_bound(
     target: PhaseInsensitiveParams,
     grid: int = DECOMPOSITION_GRID,
@@ -694,11 +764,9 @@ def combined_decomposition_bound(
     stages' best direct upper bounds; the direct bounds on the target itself
     enter as the trivial decomposition, so the result never exceeds them.
 
-    Each of the four branches is scanned on a log grid of gains, refined by
-    golden section around its best grid point; it stops at the first
-    infeasible gain. Above the grid's start, amplifier_first is CP iff
-    G <= 2 tau / (1 + tau - y), and amplifier_last iff G <= (1 + tau + y) / 2,
-    so the feasible gains are a prefix of the grid.
+    Each of the four branches is minimized exactly over its feasible gains
+    (`_gain_interval`, `_branch_minimum`), both ends included. `grid` is
+    validated but no longer steers the scan.
     """
     if not 2 <= grid <= MAX_GRID_POINTS:
         raise ParamDomainError(f"need 2 <= grid <= {MAX_GRID_POINTS}, got {grid}")
@@ -711,41 +779,12 @@ def combined_decomposition_bound(
     if direct == 0.0:
         return best  # a candidate replaces the best only when strictly smaller
 
-    scale = max(1.0, target.tau)
-    gains = np.geomspace(scale * (1.0 + 1e-4), scale * DECOMPOSITION_GAIN_MAX, grid).tolist()
-
     for kind in ("amplifier_first", "amplifier_last"):
+        lo, hi = _gain_interval(target, kind)
         for allocation in ("min_noise_first", "min_noise_last"):
-
-            def value_at(gain: float) -> float:
+            value, gain = _branch_minimum(target, kind, allocation, lo, hi)
+            if value < best.value:
                 stages = _stage_pair(target, gain, kind, allocation)
-                return math.inf if stages is None else _stages_bound(*stages)
-
-            values = []
-            for gain in gains:
-                stages = _stage_pair(target, gain, kind, allocation)
-                if stages is None:
-                    break  # every larger gain is infeasible too
-                values.append(_stages_bound(*stages))
-            v_grid = min(values, default=math.inf)
-            if not math.isfinite(v_grid):
-                continue
-            i = values.index(v_grid)
-            lo = gains[max(i - 1, 0)]
-            hi = gains[min(i + 1, grid - 1)]
-            g_best, v_best = golden_section_minimize(
-                lambda lg: value_at(math.exp(lg)), math.log(lo), math.log(hi)
-            )
-            if min(v_best, v_grid) < best.value:
-                gain = math.exp(g_best) if v_best <= v_grid else gains[i]
-                tau1, y1, tau2, y2 = _stage_pair(target, gain, kind, allocation)
-                best = DecompositionBound(
-                    min(v_best, v_grid),
-                    DecompositionWitness(
-                        kind,
-                        allocation,
-                        PhaseInsensitiveParams(tau1, y1),
-                        PhaseInsensitiveParams(tau2, y2),
-                    ),
-                )
+                pair = PhaseInsensitiveParams(*stages[:2]), PhaseInsensitiveParams(*stages[2:])
+                best = DecompositionBound(value, DecompositionWitness(kind, allocation, *pair))
     return best

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .bounds import DECOMPOSITION_GRID, FAMILIES, MAX_GRID_POINTS, _row_values
+from .bounds import FAMILIES, MAX_GRID_POINTS, _row_values
 from .bounds import combined_decomposition_bound
 from .channels import ParamDomainError, PhaseInsensitiveParams, _domain_error
 from .symplectic import GRID_END_TOL
@@ -159,7 +159,7 @@ def _attenuator_series(figure_id, N, eta_min, eta_max, step, decomposed=False):
         "x": "attenuator transmissivity",
         "N": f"{N:g}",
         "grid": f"[{eta_min:g}, {eta_max:g}] step {step:g}",
-        **({"decomposition_grid": f"{DECOMPOSITION_GRID}"} if decomposed else {}),
+        **({"decomposition": "exact minimum over each branch's CP gains"} if decomposed else {}),
         "values": "lower bound in bits; upper bounds as ratios to the lower "
         "bound, empty where the lower bound vanishes",
         "seed": "not used (deterministic sweep)",
@@ -184,7 +184,7 @@ def fig3_inset_series(
     step: float = 0.0025,
 ):
     """Close-up of the attenuator figure around the bound crossing, with the
-    decomposition-combined bound added (DECOMPOSITION_GRID gains)."""
+    decomposition-combined bound (`combined_decomposition_bound`) added."""
     return _attenuator_series("fig3-inset", N, eta_min, eta_max, step, decomposed=True)
 
 

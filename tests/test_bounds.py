@@ -9,7 +9,6 @@ from hypothesis import example, given, strategies as st
 
 from gausscap.bounds import (
     DECOMPOSITION_GAIN_MAX,
-    DECOMPOSITION_GRID,
     FAMILIES,
     MAX_GRID_POINTS,
     InfeasibleDecompositionError,
@@ -35,7 +34,7 @@ from gausscap.bounds import (
     combined_decomposition_bound,
     golden_section_minimize,
 )
-from gausscap.bounds import _direct_upper_bound, _stage_pair
+from gausscap.bounds import _direct_upper_bound, _gain_interval, _stage_pair, _stages_bound
 from gausscap.channels import _family_of
 from gausscap.channels import (
     ParamDomainError,
@@ -685,21 +684,24 @@ def _amplifier_target(g, N):
     return PhaseInsensitiveParams(g, (g - 1.0) * (2.0 * N + 1.0))
 
 
-# Value and witness (kind, allocation, stage1 tau and y, stage2 tau and y) of
-# the default scan, frozen from the scan that evaluated every grid candidate.
+# Ceiling and witness (kind, allocation, stage1 tau and y, stage2 tau and y)
+# of the default scan. The ceiling is the value of the 200-gain grid scan that
+# the exact interval scan replaced, which may exceed it by 1e-11 at most; the
+# stages are pinned from the exact scan, and its value is their bound.
 _PINNED_DECOMPOSITIONS = [
     (_attenuator_target(0.69, 0.05), 1.0446881690278012, "amplifier_first", "min_noise_first",
-     (1.0155563398996605, 0.015556339899660543, 0.6794305474654155, 0.3304305474654156)),
-    # the bench ledger's point
+     (1.0155563298919699, 0.015556329891969867, 0.6794305541607908, 0.3304305541607909)),
+    # the bench ledger's point; the grid missed its minimum by 9.1e-4
     (_attenuator_target(0.696, 0.2), 0.8001051829782155, "amplifier_first", "min_noise_first",
-     (1.0059759795588814, 0.005975979558881406, 0.691865426354608, 0.42146542635460815)),
-    # t = eta - N(1 - eta) < 0, so every gain of the grid is feasible
+     (1.0941782606875516, 0.09417826068755164, 0.6360937929461811, 0.3656937929461811)),
+    # t = eta - N(1 - eta) < 0, so every gain of amplifier_first is feasible;
+    # the first (G = 1: additive noise, then the target's pure loss) already gives 0
     (_attenuator_target(0.3, 1.0), 0.0, "amplifier_first", "min_noise_last",
-     (1.0001003068068068, 4.667034458291624, 0.2999699109760918, 0.7000300890239082)),
+     (1.0, 4.666666666666666, 0.3, 0.7)),
     (_amplifier_target(1.05, 0.01), 4.312083908253085, "direct", "", None),
     (_amplifier_target(1.5, 0.1), 1.1600120651796073, "direct", "", None),
     (_amplifier_target(1.6, 0.8), 0.11547721741993469, "amplifier_first", "min_noise_first",
-     (2.615750981802074, 1.615750981802074, 0.6116790211038013, 0.5716790211038016)),
+     (3.076920000001539, 2.076920000001539, 0.5200005200002599, 0.48000052000026017)),
     (_attenuator_target(0.8, 0.0), 2.0000000000000004, "direct", "", None),  # pure loss
     # zero capacity: the direct bound is already 0
     (_amplifier_target(2.0, 1.0), 0.0, "direct", "", None),
@@ -711,15 +713,17 @@ def test_combined_bound_pinned_outputs(target, value, kind, allocation, stages):
     _assert_decomposition(combined_decomposition_bound(target), value, kind, allocation, stages)
 
 
-def _assert_decomposition(result, value, kind, allocation, stages):
+def _assert_decomposition(result, ceiling, kind, allocation, stages):
     witness = result.witness
-    assert result.value == value
+    assert result.value <= ceiling + 1e-11
     assert (witness.kind, witness.allocation) == (kind, allocation)
     if stages is None:
         assert witness.stage1 is None and witness.stage2 is None
+        assert result.value == ceiling  # the direct bounds are unchanged
     else:
         s1, s2 = witness.stage1, witness.stage2
         assert (s1.tau, s1.y, s2.tau, s2.y) == stages
+        assert result.value == _stages_bound(*stages)
 
 
 def _random_targets(seed, count):
@@ -732,16 +736,17 @@ def _random_targets(seed, count):
     return targets
 
 
-# (value, kind, allocation, stages) at a non-default grid or a near
-# entanglement-breaking target, frozen from the scan that stopped each branch
-# at a closed-form gain limit.
+# (ceiling, kind, allocation, stages) at a non-default grid or a near
+# entanglement-breaking target, as in _PINNED_DECOMPOSITIONS; the ceilings are
+# the 2-gain grid scan's values. `grid` no longer steers the scan, so the
+# stages are those of the default grid.
 _PINNED_EDGE_DECOMPOSITIONS = [
     # 1 + tau - y = 1e-13: the direct bound is already 0
     (PhaseInsensitiveParams(0.7, 1.7 - 1e-13), 200, 0.0, "direct", "", None),
     (_attenuator_target(0.69, 0.05), 2, 1.0446881690278007, "amplifier_first", "min_noise_first",
-     (1.0155563317024376, 0.015556331702437642, 0.6794305529495461, 0.3304305529495463)),
+     (1.0155563298919699, 0.015556329891969867, 0.6794305541607908, 0.3304305541607909)),
     (_amplifier_target(1.6, 0.8), 2, 0.115477217419935, "amplifier_first", "min_noise_first",
-     (1.828949097559518, 0.828949097559518, 0.8748193168060177, 0.834819316806018)),
+     (3.076920000001539, 2.076920000001539, 0.5200005200002599, 0.48000052000026017)),
 ]
 
 
@@ -753,55 +758,49 @@ def test_combined_bound_pinned_edge_outputs(target, grid, value, kind, allocatio
     _assert_decomposition(result, value, kind, allocation, stages)
 
 
-def _feasible_count(target, gains, kind, allocation):
-    """How many gains, from the first, have a CP stage pair; asserts that
-    none after the first infeasible gain has one."""
-    feasible = [_stage_pair(target, g, kind, allocation) is not None for g in gains]
-    count = feasible.index(False) if False in feasible else len(feasible)
-    assert not any(feasible[count:]), (kind, allocation)
-    return count
+_KINDS = ("amplifier_first", "amplifier_last")
+_ALLOCATIONS = ("min_noise_first", "min_noise_last")
 
 
-def _scan_gains(target, grid):
-    scale = max(1.0, target.tau)
-    return np.geomspace(scale * (1.0 + 1e-4), scale * DECOMPOSITION_GAIN_MAX, grid)
+def _assert_gain_interval(target, kind, limit):
+    """The scan's gains for `kind` are [max(1, tau), G_max], with G_max the
+    closed-form CP limit `limit` unless DECOMPOSITION_GAIN_MAX x the start cuts
+    it short; `_stage_pair` agrees in both allocations: a CP pair at the start,
+    at G_max and just below it, none just above an uncapped G_max."""
+    lo, hi = _gain_interval(target, kind)
+    assert lo == max(1.0, target.tau)
+    cap = DECOMPOSITION_GAIN_MAX * lo
+    assert hi == pytest.approx(min(limit, cap), rel=1e-12)
+    for allocation in _ALLOCATIONS:
+        for gain in (lo, hi * (1.0 - 1e-9), hi):
+            assert _stage_pair(target, gain, kind, allocation) is not None, (gain, allocation)
+        above = _stage_pair(target, hi * (1.0 + 1e-9), kind, allocation)
+        assert (above is not None) == (limit > cap * (1.0 + 1e-9)), allocation
 
 
 @pytest.mark.parametrize("target", _random_targets(7, 20))
 def test_gain_limits_match_the_cp_test(target):
-    # Along the scan's gains the CP stage pairs are a prefix, so the scan may
-    # stop at the first infeasible gain; it ends at the closed-form limit of
-    # the stage order, amplifier_first G <= 2 tau / (1 + tau - y) and
-    # amplifier_last G <= (1 + tau + y) / 2, for both noise allocations.
+    # The closed-form ends of the scan's gains, amplifier_first
+    # G <= 2 tau / (1 + tau - y) and amplifier_last G <= (1 + tau + y) / 2,
+    # match the CP test of `_stage_pair` for both noise allocations.
     tau, y = target.tau, target.y
     excess = 1.0 + tau - y
-    limits = {
-        "amplifier_first": 2.0 * tau / excess if excess > 0.0 else math.inf,
-        "amplifier_last": (1.0 + tau + y) / 2.0,
-    }
-    gains = _scan_gains(target, 400)
-    for kind, limit in limits.items():
-        expected = int(np.searchsorted(gains, limit, side="right"))
-        for allocation in ("min_noise_first", "min_noise_last"):
-            count = _feasible_count(target, gains, kind, allocation)
-            assert abs(count - expected) <= 1, (kind, allocation, count, expected)
+    _assert_gain_interval(target, "amplifier_first", 2.0 * tau / excess if excess > 0.0 else math.inf)
+    _assert_gain_interval(target, "amplifier_last", (1.0 + tau + y) / 2.0)
 
 
 def test_gain_limits_of_an_attenuator():
     # For an attenuator (eta, N) the limits are eta / t, with rosati's
     # transmissivity t = eta - N(1 - eta), and 1 + N(1 - eta); with t < 0
-    # every gain of amplifier_first is feasible.
+    # every gain of amplifier_first is feasible, so the cap ends its gains.
     eta, N = 0.7, 0.3
     t = eta - N * (1.0 - eta)
     target = _attenuator_target(eta, N)
-    gains = _scan_gains(target, 4000)
-    for kind, limit in (("amplifier_first", eta / t), ("amplifier_last", 1.0 + N * (1.0 - eta))):
-        for allocation in ("min_noise_first", "min_noise_last"):
-            count = _feasible_count(target, gains, kind, allocation)
-            assert gains[count - 1] <= limit * (1.0 + 1e-9) < gains[count]
+    _assert_gain_interval(target, "amplifier_first", eta / t)
+    _assert_gain_interval(target, "amplifier_last", 1.0 + N * (1.0 - eta))
     hot = _attenuator_target(0.3, 1.0)  # t < 0
-    for allocation in ("min_noise_first", "min_noise_last"):
-        assert _feasible_count(hot, _scan_gains(hot, 400), "amplifier_first", allocation) == 400
+    _assert_gain_interval(hot, "amplifier_first", math.inf)
+    assert _gain_interval(hot, "amplifier_first") == (1.0, DECOMPOSITION_GAIN_MAX)
 
 
 @given(
@@ -812,22 +811,26 @@ def test_gain_limits_of_an_attenuator():
     offset=st.floats(-15.0, -1.0),
 )
 def test_stage_pairs_follow_the_one_cp_rule(tau, sign, exponent, near, offset):
-    # 1 + tau - y = +-10^exponent. Besides the scan grid, the gains include
-    # the closed-form CP limits of both stage orders moved by a relative
-    # +-10^offset, where the unclamped noise sits within CP_SLACK and a little
-    # beyond. Each returned pair constructs as PhaseInsensitiveParams; each
-    # rejected one has its unclamped noise more than CP_SLACK below |1 - tau|.
+    # 1 + tau - y = +-10^exponent. The gains are the ends of the scan's
+    # closed-form gain intervals and the CP limits of both stage orders moved
+    # by a relative +-10^offset, where the unclamped noise sits within
+    # CP_SLACK and a little beyond. Each returned pair constructs as
+    # PhaseInsensitiveParams; each rejected one has its unclamped noise more
+    # than CP_SLACK below |1 - tau|. The interval ends always have a pair.
     target = PhaseInsensitiveParams(tau, 1.0 + tau - sign * 10.0**exponent)
     limits = [(1.0 + tau + target.y) / 2.0]
     excess = 1.0 + tau - target.y
     if excess > 0.0:
         limits.append(2.0 * tau / excess)
     nearby = [limit * (1.0 + near * 10.0**offset) for limit in limits]
-    for gain in _scan_gains(target, DECOMPOSITION_GRID).tolist() + nearby:
-        for kind in ("amplifier_first", "amplifier_last"):
+    ends = [gain for kind in _KINDS for gain in _gain_interval(target, kind)]
+    for gain in ends + nearby:
+        for kind in _KINDS:
             tau1, tau2 = (gain, tau / gain) if kind == "amplifier_first" else (tau / gain, gain)
-            for allocation in ("min_noise_first", "min_noise_last"):
+            for allocation in _ALLOCATIONS:
                 stages = _stage_pair(target, gain, kind, allocation)
+                if gain in _gain_interval(target, kind):
+                    assert stages is not None, (gain, kind, allocation)
                 if stages is not None:
                     PhaseInsensitiveParams(*stages[:2])
                     PhaseInsensitiveParams(*stages[2:])
@@ -835,6 +838,49 @@ def test_stage_pairs_follow_the_one_cp_rule(tau, sign, exponent, near, offset):
                     assert target.y - tau2 * abs(1.0 - tau1) < abs(1.0 - tau2) - CP_SLACK
                 else:
                     assert (target.y - abs(1.0 - tau2)) / tau2 < abs(1.0 - tau1) - CP_SLACK
+
+
+def _dense_decomposition(target, points=2000):
+    """Best candidate of a dense scan: `points` log-spaced gains per stage
+    order over its closed-form gains, both ends included, both allocations,
+    and the direct bounds."""
+    best = _direct_upper_bound(target.tau, target.y)
+    for kind in _KINDS:
+        for gain in np.geomspace(*_gain_interval(target, kind), points).tolist():
+            for allocation in _ALLOCATIONS:
+                stages = _stage_pair(target, gain, kind, allocation)
+                if stages is not None:
+                    best = min(best, _stages_bound(*stages))
+    return best
+
+
+# The fig3-inset defaults, the point (0.95, 5) where the grid scan gave 0.73320
+# but the first gain, G = 1, gives 0.73291, and seeded attenuators and amplifiers.
+_SCAN_TARGETS = (
+    [_attenuator_target(0.60 + 0.0025 * i, 0.05) for i in range(81)]
+    + [_attenuator_target(0.95, 5.0)]
+    + _random_targets(11, 8)
+)
+
+
+@pytest.mark.parametrize("target", _SCAN_TARGETS)
+def test_decomposition_scan_is_exact(target):
+    result = combined_decomposition_bound(target)
+    assert result.value <= _dense_decomposition(target) + 1e-9
+    family, args = phase_insensitive_family(target)
+    assert result.value <= bounds_report(family, **dict(zip(FAMILIES[family].params, args))).combined
+    witness = result.witness
+    if witness.kind != "direct":
+        composed = witness.stage1.then(witness.stage2)
+        assert composed.tau == pytest.approx(target.tau, rel=1e-12)
+        assert composed.y == pytest.approx(target.y, rel=1e-12, abs=1e-12)
+
+
+def test_decomposition_scan_reaches_the_first_gain():
+    # At (0.95, 5) the minimum sits at G = 1: additive noise, then pure loss.
+    result = combined_decomposition_bound(_attenuator_target(0.95, 5.0))
+    assert result.value == pytest.approx(0.7329077148643792, abs=1e-12)
+    assert (result.witness.stage1.tau, result.witness.stage2.y) == (1.0, pytest.approx(0.05))
 
 
 def test_closed_form_domain_errors():

@@ -323,7 +323,7 @@ def test_non_finite_grid_inputs_are_named_without_a_warning(capsys, tmp_path, ar
 @pytest.mark.parametrize(
     "argv",
     [
-        # no figure takes --grid: fig3-inset's scan always uses DECOMPOSITION_GRID gains
+        # no figure takes --grid: fig3-inset's scan minimizes over each branch's gains exactly
         ["fig3", "--grid", "5"],
         ["fig3-inset", "--grid", "5"],
         # each figure's subcommand has only its own grid flags

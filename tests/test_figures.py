@@ -101,7 +101,7 @@ _FIGURE_SHA256 = {
     "fig1": "22fc0277c0ef2d407058e33f2daedc489b71c77440e56a8054686b794e809281",
     "fig2": "515a23a0421a4c8b940f003503d0b23c4f41135de58ddec269eef27b021f8242",
     "fig3": "eb39b2378fc0e85fed1609fca8a5091d362a458e9c01c19d1da8786fa90bec59",
-    "fig3-inset": "1058b207bd51b1507a8189807991f06f8bb186c437f5fd1d8f462fcbc9a4ee0e",
+    "fig3-inset": "f975e275e9c8000c7a1b847da1648af9680bff4e78ef41e3ea20e567d531671e",
 }
 
 
