@@ -291,9 +291,6 @@ class BoundRow:
     `formula` is the unchecked core of the bound's public closed form: the
     caller runs the family's `check` once per point, before any row.
     `applies` is the applicability predicate (None: the row always applies).
-    A row may give a `margin` instead, linear in the channel's (tau, y): it
-    applies where the margin is positive, and the decomposition scan solves
-    the margin for the gain where the row stops applying.
     Where a row does not apply its raw value is NaN, unless the formula is
     `defined_everywhere`; then its value is still reported, as inapplicable.
     `note` is the report text, or a callable (applies, *params) -> text.
@@ -304,11 +301,6 @@ class BoundRow:
     applies: Callable[..., bool] | None = None
     note: str | Callable[..., str] = ""
     defined_everywhere: bool = False
-    margin: Callable[..., float] | None = None
-
-    def __post_init__(self):
-        if self.margin is not None:
-            object.__setattr__(self, "applies", lambda *args: self.margin(*args) > 0.0)
 
 
 @dataclass(frozen=True)
@@ -389,15 +381,15 @@ FAMILIES = {
             BoundRow(
                 "rosati",
                 attenuator_rosati.core,
-                note="weak-degradability data processing to a pure-loss channel",
-                margin=lambda eta, N: eta - N * (1.0 - eta),  # (1 + tau - y) / 2
+                lambda eta, N: eta - N * (1.0 - eta) > 0.0,
+                "weak-degradability data processing to a pure-loss channel",
             ),
             BoundRow(
                 "extension",
                 attenuator_extension.core,
-                note="degradable two-mode extension capacity (valid for eta > 1/2)",
+                lambda eta, N: eta > 0.5,
+                "degradable two-mode extension capacity (valid for eta > 1/2)",
                 defined_everywhere=True,
-                margin=lambda eta, N: eta - 0.5,
             ),
         ),
     ),
@@ -699,10 +691,10 @@ def _branch_minimum(target, kind, allocation, lo, hi) -> tuple:
     One stage is quantum-limited, so its bound falls with the gain and is
     least at hi; the other (noisy) stage moves on a line in (tau, y), in one
     family inside (lo, hi). The minimum is thus the best of the two ends,
-    taken whole, and of each noisy upper row's minimum where that row
-    applies. A row is searched by golden section only when it falls away
-    from both ends, read one and two steps inside them (a row need not be
-    defined at an end itself); the winner is re-evaluated whole.
+    taken whole, and of each noisy upper row's minimum; a row reads inf
+    where it does not apply. A row is searched by golden section only when
+    it falls away from both ends, read one and two steps inside them (a row
+    need not be defined at an end itself); the winner is re-evaluated whole.
     """
 
     def whole(gain):
@@ -729,21 +721,11 @@ def _branch_minimum(target, kind, allocation, lo, hi) -> tuple:
         return math.inf, gain
 
     best, row_best = min(whole(lo), whole(hi)), (math.inf, lo)
-    args_lo, args_hi = noisy(lo * _STEP), noisy(hi / _STEP)  # None on a tiny interval
-    for row in fam.upper_rows if args_lo and args_hi else ():
-        a, b = lo, hi
-        if row.margin is not None:  # linear in the stage's tau, which is args[0]
-            m_lo, m_hi = row.margin(*args_lo), row.margin(*args_hi)
-            if (m_lo > 0.0) != (m_hi > 0.0):
-                t = args_lo[0] + m_lo * (args_hi[0] - args_lo[0]) / (m_lo - m_hi)
-                cut = min(hi, max(lo, t if family == "amplifier" else target.tau / t))
-                a, b = (a, cut) if m_lo > 0.0 else (cut, b)
-            elif m_lo <= 0.0:
-                continue
-        probes = [value(row, g) for g in (a * _STEP, a * _STEP**2, b / _STEP**2, b / _STEP)]
+    for row in fam.upper_rows if noisy(lo * _STEP) and noisy(hi / _STEP) else ():
+        probes = [value(row, g) for g in (lo * _STEP, lo * _STEP**2, hi / _STEP**2, hi / _STEP)]
         if probes[1][0] < probes[0][0] and probes[2][0] < probes[3][0]:
             x, fx = golden_section_minimize(
-                lambda lg: value(row, math.exp(lg))[0], math.log(a), math.log(b)
+                lambda lg: value(row, math.exp(lg))[0], math.log(lo), math.log(hi)
             )
             probes.append((fx, math.exp(x)))
         row_best = min(row_best, *probes)

@@ -158,8 +158,23 @@ def _cmd_verify(args) -> int:
     failed = [o for o in outcomes if o.applicable and not o.passed]
     print(f"# {len(outcomes) - len(failed)}/{len(outcomes)} checks passed")
     if args.json:
-        keys = ("name", "passed", "applicable", "max_residual", "tolerance", "samples", "details")
-        print(json.dumps([{key: getattr(o, key) for key in keys} for o in outcomes], indent=2))
+        print(
+            json.dumps(
+                [
+                    {
+                        "name": o.name,
+                        "passed": o.passed,
+                        "applicable": o.applicable,
+                        "max_residual": o.max_residual,
+                        "tolerance": o.tolerance,
+                        "samples": o.samples,
+                        "details": o.details,
+                    }
+                    for o in outcomes
+                ],
+                indent=2,
+            )
+        )
     return 1 if failed else 0
 
 

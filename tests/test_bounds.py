@@ -765,14 +765,16 @@ _ALLOCATIONS = ("min_noise_first", "min_noise_last")
 def _assert_gain_interval(target, kind, limit):
     """The scan's gains for `kind` are [max(1, tau), G_max], with G_max the
     closed-form CP limit `limit` unless DECOMPOSITION_GAIN_MAX x the start cuts
-    it short; `_stage_pair` agrees in both allocations: a CP pair at the start,
-    at G_max and just below it, none just above an uncapped G_max."""
+    it short; `_stage_pair` agrees in both allocations: a CP pair at 400
+    log-spaced gains over [start, G_max], both ends included, and just below
+    G_max, so the golden searches inside the interval never leave it; none
+    just above an uncapped G_max."""
     lo, hi = _gain_interval(target, kind)
     assert lo == max(1.0, target.tau)
     cap = DECOMPOSITION_GAIN_MAX * lo
     assert hi == pytest.approx(min(limit, cap), rel=1e-12)
     for allocation in _ALLOCATIONS:
-        for gain in (lo, hi * (1.0 - 1e-9), hi):
+        for gain in np.geomspace(lo, hi, 400).tolist() + [lo, hi * (1.0 - 1e-9), hi]:
             assert _stage_pair(target, gain, kind, allocation) is not None, (gain, allocation)
         above = _stage_pair(target, hi * (1.0 + 1e-9), kind, allocation)
         assert (above is not None) == (limit > cap * (1.0 + 1e-9)), allocation
