@@ -6,10 +6,12 @@ Y + i(Omega_out - X Omega_in X^T) >= 0, after one validation pass has found
 X and Y finite and Y symmetric.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._np import np
 
 from .symplectic import (
     CP_SLACK,

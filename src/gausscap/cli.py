@@ -54,7 +54,13 @@ _FIGURE_FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list) -> argparse.ArgumentParser:
+    """The parser for `argv`: every command and figure id, so each help and
+    usage text stays the same, but arguments only under those `argv` names,
+    since argparse builds a help formatter per `add_argument`."""
+    # argparse dispatches on the first token that is not an option, since no
+    # option before it takes a value; under `figure`, on the second.
+    command, chosen_figure, *_ = [arg for arg in argv if not arg.startswith("-")] + [None, None]
     parser = argparse.ArgumentParser(
         prog="gausscap",
         description="Capacity bounds for phase-insensitive bosonic Gaussian channels",
@@ -63,46 +69,52 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     bound = sub.add_parser("bound", help="bound report for one channel")
-    fam = bound.add_mutually_exclusive_group(required=True)
-    for family in FAMILIES:
-        fam.add_argument(f"--{family}", dest="family", action="store_const", const=family)
-    bound.add_argument("--beta", type=float, help="additive inverse temperature")
-    bound.add_argument("--eta", type=float, help="attenuator transmissivity")
-    bound.add_argument("--g", type=float, help="amplifier gain")
-    bound.add_argument("--n", type=float, help="environment photon number")
-    bound.add_argument("--format", choices=("json", "csv"), default="json")
+    if command == "bound":
+        fam = bound.add_mutually_exclusive_group(required=True)
+        for family in FAMILIES:
+            fam.add_argument(f"--{family}", dest="family", action="store_const", const=family)
+        bound.add_argument("--beta", type=float, help="additive inverse temperature")
+        bound.add_argument("--eta", type=float, help="attenuator transmissivity")
+        bound.add_argument("--g", type=float, help="amplifier gain")
+        bound.add_argument("--n", type=float, help="environment photon number")
+        bound.add_argument("--format", choices=("json", "csv"), default="json")
 
     figure = sub.add_parser(
         "figure", help="write one figure's data series as CSV",
         description="Each figure takes its own grid flags: see figure <id> --help.",
     )
-    ids = figure.add_subparsers(dest="id", required=True)
-    for figure_id, flags in _FIGURE_FLAGS.items():
-        fig = ids.add_parser(figure_id)
-        fig.add_argument("--out", help="output path (default <id>.csv in the output dir)")
-        for flag, (name, kind, text) in flags.items():
-            fig.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS, help=text)
+    if command == "figure":
+        ids = figure.add_subparsers(dest="id", required=True)
+        for figure_id, flags in _FIGURE_FLAGS.items():
+            fig = ids.add_parser(figure_id)
+            if figure_id != chosen_figure:
+                continue
+            fig.add_argument("--out", help="output path (default <id>.csv in the output dir)")
+            for flag, (name, kind, text) in flags.items():
+                fig.add_argument(flag, dest=name, type=kind, default=argparse.SUPPRESS, help=text)
 
     verify = sub.add_parser("verify", help="run the structural certification suite")
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument("--gamma", type=float, default=1.0,
-                        help="rescaling factor for the flag condition (1 passes)")
-    verify.add_argument("--json", action="store_true", help="emit JSON after the table")
-    verify.add_argument("--list", action="store_true", help="list checks and exit")
+    if command == "verify":
+        verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        verify.add_argument("--gamma", type=float, default=1.0,
+                            help="rescaling factor for the flag condition (1 passes)")
+        verify.add_argument("--json", action="store_true", help="emit JSON after the table")
+        verify.add_argument("--list", action="store_true", help="list checks and exit")
 
     oracle = sub.add_parser(
         "oracle", help="numerical coherent information on a thermal probe"
     )
-    ofam = oracle.add_mutually_exclusive_group(required=True)
-    ofam.add_argument("--flagged", action="store_true")
-    ofam.add_argument("--extended-attenuator", action="store_true")
-    ofam.add_argument("--identity", action="store_true")
-    oracle.add_argument("--beta", type=float, help="flagged inverse temperature")
-    oracle.add_argument("--eta", type=float, help="extended-attenuator transmissivity")
-    oracle.add_argument("--n", type=float, help="environment photon number")
-    oracle.add_argument("--m", type=float, default=ORACLE_DEFAULT_M, help="probe photon number")
-    oracle.add_argument("--strategy", choices=("purified", "complement"),
-                        help="default: complement where available, else purified")
+    if command == "oracle":
+        ofam = oracle.add_mutually_exclusive_group(required=True)
+        ofam.add_argument("--flagged", action="store_true")
+        ofam.add_argument("--extended-attenuator", action="store_true")
+        ofam.add_argument("--identity", action="store_true")
+        oracle.add_argument("--beta", type=float, help="flagged inverse temperature")
+        oracle.add_argument("--eta", type=float, help="extended-attenuator transmissivity")
+        oracle.add_argument("--n", type=float, help="environment photon number")
+        oracle.add_argument("--m", type=float, default=ORACLE_DEFAULT_M, help="probe photon number")
+        oracle.add_argument("--strategy", choices=("purified", "complement"),
+                            help="default: complement where available, else purified")
     return parser
 
 
@@ -204,8 +216,8 @@ def _cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     handlers = {
         "bound": _cmd_bound,
         "figure": _cmd_figure,

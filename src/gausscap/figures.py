@@ -8,10 +8,12 @@ Series serialize to diff-friendly CSV: '#' metadata lines, a header row and
 12 significant digits.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from ._np import np
 
 from . import __version__
 from .bounds import FAMILIES, MAX_GRID_POINTS, _row_values

@@ -5,11 +5,14 @@ covariance matrix is the identity, so a thermal state with mean photon
 number N has covariance (2N+1)*I. All entropies are in bits.
 """
 
+from __future__ import annotations
+
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
+from ._np import np
 
 __all__ = [
     "NonSymmetricError",
@@ -40,7 +43,7 @@ __all__ = [
 # divergence) stay beside their algorithm in `bounds`.
 SYMMETRY_TOL = 1e-12  # x scale: largest |V - V^T| of a matrix taken as symmetric
 PAIRING_TOL = 1e-9  # x max(1, |eig|max), + _EIG_SLACK x scale: Omega V's +/- i d pairing
-_EIG_SLACK = 64 * np.finfo(float).eps  # x scale: eigensolver backward error
+_EIG_SLACK = 64 * sys.float_info.epsilon  # x scale: eigensolver backward error
 PHYSICALITY_TOL = 1e-10  # x scale: V + i Omega of a state may dip this far below 0
 PURITY_TOL = 1e-9  # x scale: a pure state's symplectic eigenvalues are this close to 1
 ENTROPY_DOMAIN_TOL = 1e-10  # abs: bosonic_entropy takes x >= 1 - this, with h = 0 below 1

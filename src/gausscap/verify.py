@@ -6,11 +6,13 @@ reports the largest residual seen. Sampling is seeded, so the whole suite is
 deterministic for a given seed.
 """
 
+from __future__ import annotations
+
 import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._np import np
 
 from .channels import (
     GaussianChannel,

@@ -342,11 +342,28 @@ def test_removed_grid_flag_is_a_usage_error(capsys, tmp_path, argv):
 
 
 def _figure_subcommands() -> dict:
-    """{figure id: its argparse subparser} under `gausscap figure`."""
+    """{figure id: its argparse subparser} under `gausscap figure`, each built
+    with its arguments from an argv that names it."""
     def commands(parser):
         return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
-    return commands(commands(_build_parser()).choices["figure"]).choices
+    def figure_ids(argv):
+        return commands(commands(_build_parser(argv)).choices["figure"]).choices
+
+    return {figure_id: figure_ids(["figure", figure_id])[figure_id]
+            for figure_id in figure_ids(["figure"])}
+
+
+def test_parser_has_arguments_only_under_the_named_command():
+    def dests(parser):
+        return {a.dest for a in parser._actions} - {"help"}
+
+    for command in ("bound", "figure", "verify", "oracle"):
+        top = _build_parser(["--version", command, "--help"])
+        commands = next(a for a in top._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(commands.choices) == {"bound", "figure", "verify", "oracle"}
+        for name, parser in commands.choices.items():
+            assert bool(dests(parser)) == (name == command), (command, name)
 
 
 def test_figure_subcommands_match_their_builders():
