@@ -25,6 +25,7 @@ from .channels import (
     apply,
     tensor_with_identity,
 )
+from ._np import np
 from .symplectic import (
     CP_SLACK,
     LN2,
@@ -73,6 +74,11 @@ ORACLE_DIVERGENCE_M = 1e5
 MAX_GRID_POINTS = 10**6  # largest grid a figure allocates or the decomposition scan accepts
 DECOMPOSITION_GRID = 200  # default `grid` of the decomposition scan, which no longer steers it
 DECOMPOSITION_GAIN_MAX = 50.0  # the scan's gains reach this multiple of max(1, tau)
+# Largest float whose reciprocal overflows: for x > 0, 1/x < inf iff x > it.
+_RECIP_OVERFLOW = 2.0**-1024
+# Below this N no term of lower or plob overflows in either family, since
+# log2(g) <= 1024 and |log2(eta)| <= 1074 for every positive finite float.
+_SAFE_N = sys.float_info.max / 1100.0
 
 
 class OracleDivergedError(RuntimeError):
@@ -83,70 +89,151 @@ class InfeasibleDecompositionError(RuntimeError):
     """The target has no finite direct bound to decompose (the identity)."""
 
 
-def _checked_by(check):
-    """Decorator making a public closed form from an unchecked core: the
-    public function runs its family's domain `check` on the same arguments
-    first. The core stays reachable as `.core`; the table rows hold it, since
-    their callers (`_row_values`, the decomposition scan) check a point once."""
+# ---------------------------------------------------------------------------
+# Closed forms: the arithmetic once, for floats and columns; checked publics
+# ---------------------------------------------------------------------------
 
-    def public(core):
-        @functools.wraps(core)
+
+def _closed_forms(log2, log2_or_ninf, h, hypot) -> dict:
+    """Every closed form's arithmetic by name, over its elementary functions:
+    log2, log2_or_ninf (-inf at or below 0), the entropy kernel h and hypot,
+    at a checked point where the table row applies. `_SCALAR` (floats) feeds
+    the public closed forms, the reports and the decomposition scan;
+    `_column_forms` (float64 columns) feeds the figures."""
+
+    # additive Gaussian noise (inverse temperature beta)
+    def additive_lower(beta: float) -> float:
+        """Raw one-shot coherent information on an infinite-temperature input."""
+        return log2(beta) - 1.0 / LN2
+
+    def additive_naj(beta: float) -> float:
+        """Raw data-processing bound log2(beta - 1); -inf where it clamps to 0."""
+        return log2_or_ninf(beta - 1.0)
+
+    def additive_plob(beta: float) -> float:
+        """Two-way assisted capacity bound for additive Gaussian noise."""
+        return log2(beta) - 1.0 / LN2 + 1.0 / (beta * LN2)
+
+    def additive_flagged_extension(beta: float) -> float:
+        """Capacity of the degradable flagged extension of additive noise."""
+        return log2(beta) - 1.0 / LN2 + 2.0 * h(hypot(1.0, 1.0 / beta))
+
+    # thermal amplifier (gain g, environment photon number N)
+    def amplifier_lower(g: float, N: float) -> float:
+        """Raw one-shot coherent information on an infinite-temperature input."""
+        return log2(g / (g - 1.0)) - h(2.0 * N + 1.0)
+
+    def amplifier_plob(g: float, N: float) -> float:
+        """Two-way assisted capacity bound for the thermal amplifier."""
+        return (N + 1.0) * log2(g) - log2(g - 1.0) - h(2.0 * N + 1.0)
+
+    def beta_tilde(g: float, N: float) -> float:
+        """Inverse temperature of the additive factor in amplifier = additive o
+        quantum-limited amplifier; defined for g > 1 and N > 0 where it is a
+        positive finite float."""
+        return 1.0 / ((g - 1.0) * N)
+
+    def amplifier_naj(g: float, N: float) -> float:
+        """Raw data-processing bound through the additive factor; -inf where
+        (g - 1) N >= 1, since there beta_tilde <= 1, even where (g - 1) N
+        overflows and beta_tilde is 1 / inf = 0."""
+        return additive_naj(beta_tilde(g, N))
+
+    def amplifier_flagged_extension(g: float, N: float) -> float:
+        """Flagged-extension bound applied to the additive factor."""
+        return additive_flagged_extension(beta_tilde(g, N))
+
+    # thermal attenuator (transmissivity eta, photon number N)
+    def attenuator_lower(eta: float, N: float) -> float:
+        """Raw one-shot coherent information on an infinite-temperature input."""
+        return log2(eta / (1.0 - eta)) - h(2.0 * N + 1.0)
+
+    def attenuator_plob(eta: float, N: float) -> float:
+        """Two-way assisted capacity bound for the thermal attenuator."""
+        return -log2(1.0 - eta) - N * log2(eta) - h(2.0 * N + 1.0)
+
+    def attenuator_rosati(eta: float, N: float) -> float:
+        """Weak-degradability bound where eta - N(1 - eta) > 0."""
+        return log2((eta - N * (1.0 - eta)) / ((N + 1.0) * (1.0 - eta)))
+
+    def attenuator_extension(eta: float, N: float) -> float:
+        """Capacity of the degradable two-mode extension of the attenuator.
+
+        Valid as a capacity (and hence as a bound on the attenuator) for
+        eta > 1/2, where the extension is degradable; the formula itself is
+        defined on all of (0, 1).
+        """
+        return (
+            log2(eta / (1.0 - eta))
+            + h((1.0 - eta) * (2.0 * N + 1.0) + eta)
+            - h(eta * (2.0 * N + 1.0) + 1.0 - eta)
+        )
+
+    return {f.__name__: f for f in (
+        additive_lower, additive_naj, additive_plob, additive_flagged_extension,
+        amplifier_lower, amplifier_plob, beta_tilde, amplifier_naj, amplifier_flagged_extension,
+        attenuator_lower, attenuator_plob, attenuator_rosati, attenuator_extension,
+    )}
+
+
+def _log2_or_ninf(x: float) -> float:
+    return math.log2(x) if x > 0.0 else -math.inf
+
+
+# h looks `bosonic_entropy` up at each call, so a wrapper set on the module
+# attribute (a tracer, a test double) sees the calls of every row.
+_SCALAR = _closed_forms(math.log2, _log2_or_ninf, lambda x: bosonic_entropy(x), math.hypot)
+
+
+@functools.cache
+def _column_forms() -> dict:
+    """`_closed_forms` on float64 columns, built at the first figure: numpy
+    does the + - * /, which round as on floats, and each log2, log1p and
+    hypot is the `math` call mapped over the elements, so every element is
+    bit-identical to the scalar closed form. (numpy's log2, log1p and hypot
+    differ from `math` in the last bit at some points.)"""
+
+    def mapped(f):
+        def column(*cols):
+            cols = np.broadcast_arrays(*cols)
+            return np.fromiter(map(f, *(c.tolist() for c in cols)), float, cols[0].size)
+
+        return column
+
+    log1p = mapped(math.log1p)
+
+    def h(x):  # `bosonic_entropy` at x >= 1 - ENTROPY_DOMAIN_TOL, as at every checked point
+        out = np.where(x > 1.0, x, 0.0)  # 0 up to 1, inf at inf
+        live = (x > 1.0) & (x < math.inf)
+        b = (x[live] - 1.0) / 2.0
+        out[live] = (log1p(b) + b * log1p(1.0 / b)) / LN2
+        return out
+
+    return _closed_forms(mapped(math.log2), mapped(_log2_or_ninf), h, mapped(math.hypot))
+
+
+def _checked_by(*checks):
+    """Decorator making a public closed form from a `_SCALAR` formula: it runs
+    `checks` on the same arguments, the family's domain check first, then the
+    formula. The table rows hold the formula itself: their callers check a
+    point once and evaluate only the rows that apply."""
+
+    def public(formula):
+        @functools.wraps(formula)
         def closed_form(*args, **kwargs):
-            check(*args, **kwargs)
-            return core(*args, **kwargs)
+            for check in checks:
+                check(*args, **kwargs)
+            return formula(*args, **kwargs)
 
-        closed_form.core = core
+        closed_form.__qualname__ = formula.__name__
         return closed_form
 
     return public
 
 
-# ---------------------------------------------------------------------------
-# Closed forms: additive Gaussian noise (inverse temperature beta)
-# ---------------------------------------------------------------------------
-
-
 def _check_beta(beta: float):
-    if not (0.0 < beta < math.inf and 1.0 / beta < math.inf):
+    if not _RECIP_OVERFLOW < beta < math.inf:
         raise _domain_error("beta > 0 with a finite 1/beta", beta=beta)
-
-
-@_checked_by(_check_beta)
-def additive_lower(beta: float) -> float:
-    """Raw one-shot coherent information on an infinite-temperature input."""
-    return math.log2(beta) - 1.0 / LN2
-
-
-@_checked_by(_check_beta)
-def additive_naj(beta: float) -> float:
-    """Raw data-processing bound log2(beta - 1); -inf where it clamps to 0."""
-    return math.log2(beta - 1.0) if beta > 1.0 else float("-inf")
-
-
-@_checked_by(_check_beta)
-def additive_plob(beta: float) -> float:
-    """Two-way assisted capacity bound for additive Gaussian noise."""
-    return math.log2(beta) - 1.0 / LN2 + 1.0 / (beta * LN2)
-
-
-@_checked_by(_check_beta)
-def additive_flagged_extension(beta: float) -> float:
-    """Capacity of the degradable flagged extension of additive noise."""
-    return (
-        math.log2(beta)
-        - 1.0 / LN2
-        + 2.0 * bosonic_entropy(math.hypot(1.0, 1.0 / beta))
-    )
-
-
-# ---------------------------------------------------------------------------
-# Closed forms: thermal amplifier (gain g, environment photon number N)
-# ---------------------------------------------------------------------------
-
-
-# Below this N no term of lower or plob overflows in either family, since
-# log2(g) <= 1024 and |log2(eta)| <= 1074 for every positive finite float.
-_SAFE_N = sys.float_info.max / 1100.0
 
 
 def _check_amp(g: float, N: float):
@@ -156,75 +243,6 @@ def _check_amp(g: float, N: float):
         raise _domain_error("g > 1 and N >= 0", g=g, N=N)
     if not (N + 1.0) * math.log2(g) + 2.0 * N < math.inf:  # the terms of lower and plob
         raise _domain_error("(N + 1) log2(g) + 2N finite", g=g, N=N)
-
-
-@_checked_by(_check_amp)
-def amplifier_lower(g: float, N: float) -> float:
-    """Raw one-shot coherent information on an infinite-temperature input."""
-    return math.log2(g / (g - 1.0)) - bosonic_entropy(2.0 * N + 1.0)
-
-
-@_checked_by(_check_amp)
-def amplifier_plob(g: float, N: float) -> float:
-    """Two-way assisted capacity bound for the thermal amplifier."""
-    return (N + 1.0) * math.log2(g) - math.log2(g - 1.0) - bosonic_entropy(2.0 * N + 1.0)
-
-
-@_checked_by(_check_amp)
-def beta_tilde(g: float, N: float) -> float:
-    """Inverse temperature of the additive factor in amplifier = additive o
-    quantum-limited amplifier; defined for g > 1 and N > 0 where it is a
-    positive finite float."""
-    if not _has_additive_factor(g, N):
-        raise _domain_error("(g - 1) N and its reciprocal positive and finite", g=g, N=N)
-    return 1.0 / ((g - 1.0) * N)
-
-
-# Unchecked cores for the amplifier cores below: their (g, N) is checked, and
-# _beta_tilde only returns a beta that passes _check_beta.
-_beta_tilde = beta_tilde.core
-_additive_naj = additive_naj.core
-_additive_flagged_extension = additive_flagged_extension.core
-
-
-@_checked_by(_check_amp)
-def amplifier_naj(g: float, N: float) -> float:
-    """Raw data-processing bound through the additive factor; -inf where
-    (g - 1) N >= 1, since there beta_tilde <= 1, even where (g - 1) N
-    overflows and beta_tilde is not formed."""
-    if (g - 1.0) * N < 1.0:
-        return _additive_naj(_beta_tilde(g, N))
-    return -math.inf
-
-
-@_checked_by(_check_amp)
-def amplifier_flagged_extension(g: float, N: float) -> float:
-    """Flagged-extension bound applied to the additive factor."""
-    return _additive_flagged_extension(_beta_tilde(g, N))
-
-
-def _has_additive_factor(g: float, N: float) -> bool:
-    """Whether beta_tilde = 1/((g - 1) N) exists as a positive finite float.
-
-    It is undefined at N = 0, and (g - 1) N or its reciprocal overflows at
-    extreme (g, N); there the extension does not apply, nor naj unless
-    (g - 1) N overflows (see `_has_naj`), and lower and plob are still
-    reported.
-    """
-    gn = (g - 1.0) * N
-    return 0.0 < gn < math.inf and 1.0 / gn < math.inf
-
-
-def _has_naj(g: float, N: float) -> bool:
-    """Whether naj applies: as `_has_additive_factor`, but also where
-    (g - 1) N overflows, since naj is -inf for any (g - 1) N >= 1."""
-    gn = (g - 1.0) * N
-    return 0.0 < gn and 1.0 / gn < math.inf
-
-
-# ---------------------------------------------------------------------------
-# Closed forms: thermal attenuator (transmissivity eta, photon number N)
-# ---------------------------------------------------------------------------
 
 
 def _check_att(eta: float, N: float):
@@ -237,20 +255,54 @@ def _check_att(eta: float, N: float):
         raise _domain_error("2N + 1 and N log2(eta) finite", eta=eta, N=N)
 
 
-@_checked_by(_check_att)
-def attenuator_lower(eta: float, N: float) -> float:
-    """Raw one-shot coherent information on an infinite-temperature input."""
-    return math.log2(eta / (1.0 - eta)) - bosonic_entropy(2.0 * N + 1.0)
+# Applicability predicates, on floats or float64 columns
 
 
-@_checked_by(_check_att)
-def attenuator_plob(eta: float, N: float) -> float:
-    """Two-way assisted capacity bound for the thermal attenuator."""
-    return (
-        -math.log2(1.0 - eta)
-        - N * math.log2(eta)
-        - bosonic_entropy(2.0 * N + 1.0)
-    )
+def _has_additive_factor(g, N):
+    """Whether beta_tilde = 1/((g - 1) N) exists as a positive finite float.
+
+    It is undefined at N = 0, and (g - 1) N or its reciprocal overflows at
+    extreme (g, N); there the extension does not apply, nor naj unless
+    (g - 1) N overflows (see `_has_naj`), and lower and plob are still
+    reported.
+    """
+    gn = (g - 1.0) * N
+    return (gn > _RECIP_OVERFLOW) & (gn < math.inf)
+
+
+def _has_naj(g, N):
+    """Whether naj applies: as `_has_additive_factor`, but also where
+    (g - 1) N overflows, since naj is -inf for any (g - 1) N >= 1."""
+    return (g - 1.0) * N > _RECIP_OVERFLOW
+
+
+def _has_rosati(eta, N):
+    """Whether rosati's zero-temperature transmissivity eta - N(1 - eta) is positive."""
+    return eta - N * (1.0 - eta) > 0.0
+
+
+def _check_route(g: float, N: float, applies=_has_additive_factor):
+    """Check of a public closed form through the additive factor."""
+    if not applies(g, N):
+        raise _domain_error("(g - 1) N and its reciprocal positive and finite", g=g, N=N)
+
+
+additive_lower = _checked_by(_check_beta)(_SCALAR["additive_lower"])
+additive_naj = _checked_by(_check_beta)(_SCALAR["additive_naj"])
+additive_plob = _checked_by(_check_beta)(_SCALAR["additive_plob"])
+additive_flagged_extension = _checked_by(_check_beta)(_SCALAR["additive_flagged_extension"])
+amplifier_lower = _checked_by(_check_amp)(_SCALAR["amplifier_lower"])
+amplifier_plob = _checked_by(_check_amp)(_SCALAR["amplifier_plob"])
+beta_tilde = _checked_by(_check_amp, _check_route)(_SCALAR["beta_tilde"])
+amplifier_naj = _checked_by(_check_amp, functools.partial(_check_route, applies=_has_naj))(
+    _SCALAR["amplifier_naj"]
+)
+amplifier_flagged_extension = _checked_by(_check_amp, _check_route)(
+    _SCALAR["amplifier_flagged_extension"]
+)
+attenuator_lower = _checked_by(_check_att)(_SCALAR["attenuator_lower"])
+attenuator_plob = _checked_by(_check_att)(_SCALAR["attenuator_plob"])
+attenuator_extension = _checked_by(_check_att)(_SCALAR["attenuator_extension"])
 
 
 @_checked_by(_check_att)
@@ -258,25 +310,7 @@ def attenuator_rosati(eta: float, N: float) -> float | None:
     """Weak-degradability bound via a zero-temperature attenuator of
     transmissivity eta - N(1-eta); None where that transmissivity is not
     positive."""
-    t = eta - N * (1.0 - eta)
-    if t <= 0.0:
-        return None
-    return math.log2(t / ((N + 1.0) * (1.0 - eta)))
-
-
-@_checked_by(_check_att)
-def attenuator_extension(eta: float, N: float) -> float:
-    """Capacity of the degradable two-mode extension of the attenuator.
-
-    Valid as a capacity (and hence as a bound on the attenuator) for
-    eta > 1/2, where the extension is degradable; the formula itself is
-    defined on all of (0, 1).
-    """
-    return (
-        math.log2(eta / (1.0 - eta))
-        + bosonic_entropy((1.0 - eta) * (2.0 * N + 1.0) + eta)
-        - bosonic_entropy(eta * (2.0 * N + 1.0) + 1.0 - eta)
-    )
+    return _SCALAR["attenuator_rosati"](eta, N) if _has_rosati(eta, N) else None
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +322,10 @@ def attenuator_extension(eta: float, N: float) -> float:
 class BoundRow:
     """One bound of a family, evaluated on the family's parameters in order.
 
-    `formula` is the unchecked core of the bound's public closed form: the
-    caller runs the family's `check` once per point, before any row.
-    `applies` is the applicability predicate (None: the row always applies).
+    `formula` is the bound's `_SCALAR` formula, its public closed form
+    without the checks: the caller runs the family's `check` once per point,
+    before any row. `applies` is the applicability predicate, on floats or
+    float64 columns (None: the row always applies).
     Where a row does not apply its raw value is NaN, unless the formula is
     `defined_everywhere`; then its value is still reported, as inapplicable.
     `note` is the report text, or a callable (applies, *params) -> text.
@@ -306,10 +341,12 @@ class BoundRow:
 @dataclass(frozen=True)
 class BoundFamily:
     """A channel family: parameter names, the one domain validator shared
-    with its closed forms, the lower-bound row and the upper-bound rows."""
+    with its closed forms, the validator's fast path as a predicate on
+    float64 columns, the lower-bound row and the upper-bound rows."""
 
     params: tuple
     check: Callable[..., None]
+    domain: Callable
     lower: BoundRow
     upper_rows: tuple
 
@@ -341,13 +378,14 @@ FAMILIES = {
     "additive": BoundFamily(
         ("beta",),
         _check_beta,
-        BoundRow("lower", additive_lower.core, note=_LOWER_NOTE),
+        lambda beta: (beta > _RECIP_OVERFLOW) & (beta < math.inf),
+        BoundRow("lower", _SCALAR["additive_lower"], note=_LOWER_NOTE),
         (
-            BoundRow("naj", additive_naj.core, note="data processing, additive-noise route"),
-            BoundRow("plob", additive_plob.core, note=_PLOB_NOTE),
+            BoundRow("naj", _SCALAR["additive_naj"], note="data processing, additive-noise route"),
+            BoundRow("plob", _SCALAR["additive_plob"], note=_PLOB_NOTE),
             BoundRow(
                 "extension",
-                additive_flagged_extension.core,
+                _SCALAR["additive_flagged_extension"],
                 note="degradable flagged-extension capacity",
             ),
         ),
@@ -355,18 +393,19 @@ FAMILIES = {
     "amplifier": BoundFamily(
         ("g", "N"),
         _check_amp,
-        BoundRow("lower", amplifier_lower.core, note=_LOWER_NOTE),
+        lambda g, N: (g > 1.0) & (g < math.inf) & (N >= 0.0) & (N < _SAFE_N),
+        BoundRow("lower", _SCALAR["amplifier_lower"], note=_LOWER_NOTE),
         (
             BoundRow(
                 "naj",
-                amplifier_naj.core,
+                _SCALAR["amplifier_naj"],
                 _has_naj,
                 _additive_factor_note("data processing through the additive factor"),
             ),
-            BoundRow("plob", amplifier_plob.core, note=_PLOB_NOTE),
+            BoundRow("plob", _SCALAR["amplifier_plob"], note=_PLOB_NOTE),
             BoundRow(
                 "extension",
-                amplifier_flagged_extension.core,
+                _SCALAR["amplifier_flagged_extension"],
                 _has_additive_factor,
                 _additive_factor_note("flagged-extension bound on the additive factor"),
             ),
@@ -375,18 +414,19 @@ FAMILIES = {
     "attenuator": BoundFamily(
         ("eta", "N"),
         _check_att,
-        BoundRow("lower", attenuator_lower.core, note=_LOWER_NOTE),
+        lambda eta, N: (eta > 0.0) & (eta < 1.0) & (N >= 0.0) & (N < _SAFE_N),
+        BoundRow("lower", _SCALAR["attenuator_lower"], note=_LOWER_NOTE),
         (
-            BoundRow("plob", attenuator_plob.core, note=_PLOB_NOTE),
+            BoundRow("plob", _SCALAR["attenuator_plob"], note=_PLOB_NOTE),
             BoundRow(
                 "rosati",
-                attenuator_rosati.core,
-                lambda eta, N: eta - N * (1.0 - eta) > 0.0,
+                _SCALAR["attenuator_rosati"],
+                _has_rosati,
                 "weak-degradability data processing to a pure-loss channel",
             ),
             BoundRow(
                 "extension",
-                attenuator_extension.core,
+                _SCALAR["attenuator_extension"],
                 lambda eta, N: eta > 0.5,
                 "degradable two-mode extension capacity (valid for eta > 1/2)",
                 defined_everywhere=True,
@@ -472,7 +512,9 @@ class BoundReport:
 def _row_values(fam: BoundFamily, args) -> tuple:
     """Each row of `fam` evaluated at `args`, in table order, as
     (applies, raw), and the minimum raw over the applicable upper rows (inf
-    if none). This one loop feeds both the reports and the figure columns."""
+    if none). It feeds the reports and the decomposition scan's direct
+    bounds; `_bound_columns` is the same loop on float64 columns, for the
+    figures."""
     fam.check(*args)
     values = []
     best = math.inf
@@ -483,6 +525,30 @@ def _row_values(fam: BoundFamily, args) -> tuple:
         if applies and row is not fam.lower and raw < best:  # NaN never compares less
             best = raw
     return values, best
+
+
+def _bound_columns(family: str, *params) -> dict:
+    """`_row_values` on float64 parameter columns, element for element
+    bit-identical: {row name, then "combined": (applies, clamped)} columns,
+    clamped NaN where a row is not evaluated. A point outside the family's
+    `domain` gets the scalar check, which raises as a report would."""
+    fam, cols = FAMILIES[family], np.broadcast_arrays(*params)
+    for i in np.flatnonzero(~fam.domain(*cols)).tolist():
+        fam.check(*(c[i].item() for c in cols))
+    forms, n = _column_forms(), len(cols[0])
+    everywhere, best, values = np.full(n, True), np.full(n, math.inf), {}
+    with np.errstate(over="ignore"):  # (g - 1) N may overflow, as it does on floats
+        for row in fam.rows:
+            applies = everywhere if row.applies is None else row.applies(*cols)
+            live = everywhere if row.defined_everywhere else applies
+            raw = np.full(n, math.nan)
+            raw[live] = forms[row.formula.__name__](*(c[live] for c in cols))
+            values[row.name] = applies, raw
+            if row is not fam.lower:
+                best = np.where(applies & (raw < best), raw, best)
+    values["combined"] = everywhere, best
+    # max(raw, 0.0) as on floats, where -0.0 and NaN stay
+    return {name: (keep, np.where(raw < 0.0, 0.0, raw)) for name, (keep, raw) in values.items()}
 
 
 def bounds_report(family: str, **params) -> BoundReport:

@@ -6,6 +6,12 @@ attenuator figures report upper bounds as ratios to the lower bound, which is
 the shape the comparisons are usually plotted in.
 Series serialize to diff-friendly CSV: '#' metadata lines, a header row and
 12 significant digits.
+
+The rows run on whole float64 columns (`bounds._bound_columns`), and every
+cell is bit-identical to the report at that point: numpy does only the
++ - * /, which round as on floats, and each log2, log1p and hypot is the
+scalar row's `math` call mapped over the column (numpy's own differ from
+`math` in the last bit at some points).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 from ._np import np
 
 from . import __version__
-from .bounds import FAMILIES, MAX_GRID_POINTS, _row_values
+from .bounds import MAX_GRID_POINTS, _bound_columns
 from .bounds import combined_decomposition_bound
 from .channels import ParamDomainError, PhaseInsensitiveParams, _domain_error
 from .symplectic import GRID_END_TOL
@@ -58,21 +64,19 @@ class FigureSeries:
         return self.columns[name]
 
 
-def _cells(values) -> list:
-    """CSV cells of one column: 12 significant digits, empty for None/NaN."""
-    return ["" if v is None or v != v else format(v, ".12g") for v in values]
-
-
 def write_csv(series: FigureSeries, path) -> None:
-    """Write the series as UTF-8 CSV with leading '#' metadata lines."""
+    """Write the series as UTF-8 CSV with leading '#' metadata lines; each
+    cell has 12 significant digits (`format(v, ".12g")`), and None and NaN
+    are empty."""
     lines = [f"# figure: {series.figure_id}", f"# generator: gausscap {__version__}"]
     for key, value in series.metadata.items():
         lines.append(f"# {key}: {value}")
     lines.append(",".join([series.x_name] + list(series.columns)))
-    columns = [_cells(series.x_values)] + [_cells(col) for col in series.columns.values()]
-    lines.extend(map(",".join, zip(*columns)))
+    columns = [series.x_values, *series.columns.values()]
+    cells = tuple(np.array(columns, dtype=float).T.ravel().tolist())  # None becomes NaN
+    table = (",".join(["%.12g"] * len(columns)) + "\n") * len(series.x_values) % cells
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + "\n" + table.replace("nan", ""))  # "%.12g" % NaN is "nan"
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -84,33 +88,25 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(math.floor(steps) + 1)
 
 
-def _bound_columns(family: str, points) -> dict:
-    """Clamped value of every bound row, then "combined", at each parameter
-    tuple: the cells of `bounds_report`'s entries, None where a row does not
-    apply."""
-    fam = FAMILIES[family]
-    cells = []
-    for args in points:
-        values, best = _row_values(fam, args)
-        clamped = [max(raw, 0.0) if applies else None for applies, raw in values]
-        cells.append(clamped + [max(best, 0.0)])
-    names = [row.name for row in fam.rows] + ["combined"]
-    return dict(zip(names, map(list, zip(*cells))))
+def _cells(columns: dict) -> dict:
+    """FigureSeries columns from (applies, values) column pairs: floats, None
+    where the row does not apply."""
+    return {name: np.where(keep, values, None).tolist() for name, (keep, values) in columns.items()}
 
 
 def fig1_series(x_min: float = 0.02, x_max: float = 0.7, step: float = 0.005):
     """Additive Gaussian noise bounds against inverse beta (noise variance)."""
     if not (x_min > 0.0 and 1.0 / x_min < math.inf):  # beta = 1 / x_min
         raise _domain_error("x_min > 0 with a finite 1/x_min", x_min=x_min)
-    xs = _grid(x_min, x_max, step).tolist()
-    columns = _bound_columns("additive", [(1.0 / x,) for x in xs])
+    xs = _grid(x_min, x_max, step)
+    columns = _cells(_bound_columns("additive", 1.0 / xs))
     meta = {
         "x": "inverse beta (added noise variance / 2)",
         "grid": f"[{x_min:g}, {x_max:g}] step {step:g}",
         "values": "clamped bound values in bits",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries("fig1", "inverse_beta", xs, columns, meta)
+    return FigureSeries("fig1", "inverse_beta", xs.tolist(), columns, meta)
 
 
 def fig2_series(
@@ -126,8 +122,8 @@ def fig2_series(
         raise _domain_error("finite g_max", g_max=g_max)
     if not 2 <= points <= MAX_GRID_POINTS or g_max <= 1.0 + g_offset_min:
         raise ParamDomainError(f"need 2 <= points <= {MAX_GRID_POINTS}, g_max > 1 + g_offset_min")
-    gains = (1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)).tolist()
-    columns = _bound_columns("amplifier", [(g, N) for g in gains])
+    gains = 1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)
+    columns = _cells(_bound_columns("amplifier", gains, N))
     meta = {
         "x": "amplifier gain",
         "N": f"{N:g}",
@@ -136,27 +132,28 @@ def fig2_series(
         "values": "clamped bound values in bits",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries("fig2", "gain", gains, columns, meta)
+    return FigureSeries("fig2", "gain", gains.tolist(), columns, meta)
 
 
 def _attenuator_series(figure_id, N, eta_min, eta_max, step, decomposed=False):
     """Attenuator lower bound, then each upper row as a ratio to it; when
     `decomposed`, "combined" is the decomposition-combined bound."""
-    etas = _grid(eta_min, eta_max, step).tolist()
-    columns = _bound_columns("attenuator", [(eta, N) for eta in etas])
-    lower = columns["lower"]
+    etas = _grid(eta_min, eta_max, step)
+    columns = _bound_columns("attenuator", etas, N)
     del columns["combined"]
+    low = columns["lower"][1]
+    positive = low > 0.0
     if decomposed:
-        columns["combined"] = [
+        columns["combined"] = positive, np.array([
             combined_decomposition_bound(
                 PhaseInsensitiveParams(eta, (1.0 - eta) * (2.0 * N + 1.0))
-            ).value if low > 0.0 else None
-            for eta, low in zip(etas, lower)
-        ]
+            ).value if ok else math.nan
+            for eta, ok in zip(etas.tolist(), positive.tolist())
+        ])
     for name in list(columns)[1:]:  # every column but "lower", as a ratio to it
-        columns[name] = [
-            None if v is None or low <= 0.0 else v / low for v, low in zip(columns[name], lower)
-        ]
+        applies, values = columns[name]
+        ratio = np.divide(values, low, out=np.full(low.shape, math.nan), where=applies & positive)
+        columns[name] = applies & positive, ratio
     meta = {
         "x": "attenuator transmissivity",
         "N": f"{N:g}",
@@ -166,7 +163,7 @@ def _attenuator_series(figure_id, N, eta_min, eta_max, step, decomposed=False):
         "bound, empty where the lower bound vanishes",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries(figure_id, "transmissivity", etas, columns, meta)
+    return FigureSeries(figure_id, "transmissivity", etas.tolist(), _cells(columns), meta)
 
 
 def fig3_series(

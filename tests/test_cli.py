@@ -309,8 +309,9 @@ def test_figure_bad_inputs_are_named(capsys, tmp_path, argv, name):
         (["fig2", "--g-max=nan"], "error: g_max must be finite, got nan"),
         (["fig1", "--x-step=inf"], "error: need 1 to 1000000 grid points, got [0.02, 0.7] step inf"),
         (["fig3", "--eta-step=inf"], "error: need 1 to 1000000 grid points, got [0.55, 0.995] step inf"),
+        (["fig2", "--n", "1e308"], "error: need (N + 1) log2(g) + 2N finite, got g=1.001, N=1e+308"),
     ],
-    ids=["g_max=inf", "g_max=-inf", "g_max=nan", "fig1-step=inf", "fig3-step=inf"],
+    ids=["g_max=inf", "g_max=-inf", "g_max=nan", "fig1-step=inf", "fig3-step=inf", "fig2-n=1e308"],
 )
 def test_non_finite_grid_inputs_are_named_without_a_warning(capsys, tmp_path, argv, message):
     # numpy would warn on the inf before any check named the input

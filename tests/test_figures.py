@@ -1,12 +1,23 @@
 import hashlib
+import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gausscap
 from gausscap.bounds import bounds_report, combined_decomposition_bound
-from gausscap.channels import PhaseInsensitiveParams
+from gausscap.channels import ParamDomainError, PhaseInsensitiveParams
 from gausscap.cli import main
-from gausscap.figures import _grid, fig1_series, fig2_series, fig3_inset_series, fig3_series
+from gausscap.figures import (
+    FigureSeries,
+    _grid,
+    fig1_series,
+    fig2_series,
+    fig3_inset_series,
+    fig3_series,
+    write_csv,
+)
 
 _PHOTONS = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
 
@@ -23,6 +34,8 @@ def _report_cells(series, family, params_at):
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(1e-3, 5.0), st.integers(0, 12), st.floats(1e-3, 0.5))
+@example(2.0, 4, 0.5)  # beta < 1, where naj is -inf
+@example(1e-300, 3, 1e-300)  # beta near 1e300
 def test_fig1_sweep_equals_report(x_min, steps, step):
     series = fig1_series(x_min=x_min, x_max=x_min + steps * step, step=step)
     assert series.columns == _report_cells(series, "additive", lambda x: {"beta": 1.0 / x})
@@ -31,6 +44,8 @@ def test_fig1_sweep_equals_report(x_min, steps, step):
 @settings(max_examples=40, deadline=None)
 @given(_PHOTONS, st.floats(-6.0, 0.0), st.floats(1.5, 1e3), st.integers(2, 12))
 @example(0.0, -3.0, 200.0, 5)
+@example(1e300, -3.0, 1e13, 5)  # g_max = 1e10: (g - 1) N overflows, naj applies, extension not
+@example(1e-300, -15.0, 200.0, 5)  # 1/((g - 1) N) overflows: neither applies
 def test_fig2_sweep_equals_report(N, log_offset, spread, points):
     offset = 10.0**log_offset
     series = fig2_series(N=N, g_offset_min=offset, g_max=1.0 + offset * spread, points=points)
@@ -41,6 +56,8 @@ def test_fig2_sweep_equals_report(N, log_offset, spread, points):
 @given(_PHOTONS, st.floats(0.01, 0.98), st.integers(0, 12), st.floats(1e-3, 0.1))
 @example(0.0, 0.3, 6, 0.05)
 @example(5.0, 0.7, 6, 0.05)
+@example(0.0, 0.5, 4, 0.05)  # eta = 0.5 exactly, where the extension stops applying
+@example(1e300, 0.5, 4, 0.05)
 def test_fig3_sweep_equals_report_ratios(N, eta_min, steps, step):
     # eta <= 1/2 (extension inapplicable) and t = eta - N(1 - eta) <= 0
     # (rosati inapplicable) are both inside these ranges
@@ -56,6 +73,24 @@ def test_fig3_sweep_equals_report_ratios(N, eta_min, steps, step):
             for r, low in zip(reports, lows)
         ]
         assert series.column(name) == expected, name
+
+
+@pytest.mark.parametrize("N", [-1.0, math.nan, math.inf, 1e306, 9e307])
+@pytest.mark.parametrize(
+    "family, param, build", [("amplifier", "g", fig2_series), ("attenuator", "eta", fig3_series)]
+)
+def test_sweep_domain_is_the_report_domain(family, param, build, N):
+    # A sweep skips the scalar check only inside its fast path (N below
+    # ~1.6e305); elsewhere it raises as the report at the first bad point
+    # does, or its columns agree with the reports.
+    xs = build(N=0.0).x_values
+    try:
+        reports = [bounds_report(family, **{param: x, "N": N}) for x in xs]
+    except ParamDomainError as exc:
+        with pytest.raises(ParamDomainError, match=re.escape(str(exc))):
+            build(N=N)
+    else:
+        assert build(N=N).column("lower") == [r.lower.clamped for r in reports]
 
 
 @pytest.mark.parametrize("N", [0.0, 0.05, 5.0])
@@ -93,6 +128,22 @@ def test_grid_stops_at_its_upper_end(lo, hi, step, count):
 def test_grid_keeps_every_step_of_an_exact_division(lo, span, n):
     # the figure sweeps step by (hi - lo) / n and expect n + 1 points
     assert len(_grid(lo, lo + span, span / n)) == n + 1
+
+
+def test_write_csv_cells_are_12_significant_digits(tmp_path):
+    values = [None, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 123456789012.5]
+    xs = [0.5 * i for i in range(len(values))]
+    series = FigureSeries("t", "x", xs, {"v": values, "w": values[::-1]}, {"k": "v"})
+    path = tmp_path / "t.csv"
+    write_csv(series, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[:4] == ["# figure: t", f"# generator: gausscap {gausscap.__version__}",
+                         "# k: v", "x,v,w"]
+
+    def cell(v):
+        return "" if v is None or v != v else format(v, ".12g")
+
+    assert lines[4:] == [",".join(map(cell, row)) for row in zip(xs, values, values[::-1])]
 
 
 # SHA-256 of `gausscap figure <id>` at default arguments, generator line
