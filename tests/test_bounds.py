@@ -398,6 +398,22 @@ def test_additive_factor_overflow_is_a_domain_error():
         bounds_amplifier(1.5, 1e308)  # 2N + 1 overflows in lower and plob
 
 
+@pytest.mark.parametrize(
+    "x", [math.nextafter(2.0**-1024, 0.0), 2.0**-1024, math.nextafter(2.0**-1024, 1.0)]
+)
+def test_reciprocal_overflow_edge(x):
+    # 1/x overflows up to 2**-1024 and not past it: the additive domain and
+    # the additive-factor rows switch exactly where 1/beta or 1/((g - 1) N) does
+    finite = 1.0 / x < math.inf
+    report = bounds_amplifier(2.0, x)  # (g - 1) N = x
+    assert report["naj"].applicable is report["extension"].applicable is finite
+    if finite:
+        assert math.isfinite(bounds_additive(x).combined)
+    else:
+        with pytest.raises(ParamDomainError, match="finite 1/beta"):
+            bounds_additive(x)
+
+
 @pytest.mark.parametrize("g, N", [(1.000000000000001, 1e-300)])
 def test_amplifier_report_without_additive_factor(g, N):
     # beta_tilde = 1/((g - 1) N) overflows: only the two rows routed through
