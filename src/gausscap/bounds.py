@@ -9,6 +9,7 @@ degradable-extension formulas. All values are in bits; raw bound values may
 be negative, the clamped value max(raw, 0) is what bounds the capacity.
 """
 
+import contextlib
 import functools
 import math
 import sys
@@ -652,7 +653,7 @@ def coherent_info_thermal(
 class DecompositionWitness:
     """Which decomposition achieved the combined bound."""
 
-    kind: str  # "direct", "amplifier_first" or "amplifier_last"
+    kind: str  # "direct", or "amplifier_first": amplifier G, then attenuator tau / G
     allocation: str = ""  # "min_noise_first" / "min_noise_last" for two-stage
     stage1: PhaseInsensitiveParams | None = None
     stage2: PhaseInsensitiveParams | None = None
@@ -686,13 +687,13 @@ _GOLDEN_TOL = 1e-6  # golden section stops at this bracket width over max(1, |a|
 _GOLDEN_MAX_ITER = 200
 
 
-def _stage_pair(target, gain, kind, allocation):
-    """Stages (tau1, y1, tau2, y2) of one decomposition candidate, or None
-    if the noise split is not completely positive (PhaseInsensitiveParams' rule)."""
-    if kind == "amplifier_first":
-        tau1, tau2 = gain, target.tau / gain
-    else:
-        tau1, tau2 = target.tau / gain, gain
+def _stage_pair(target, gain, allocation):
+    """Stages (tau1, y1, tau2, y2) of one decomposition candidate, amplifier G
+    then attenuator tau / G, or None where a stage breaks PhaseInsensitiveParams'
+    rule: tau / G is 0, the split is not CP, or the first stage's noise overflows."""
+    tau1, tau2 = gain, target.tau / gain
+    if tau2 == 0.0:
+        return None
     if allocation == "min_noise_first":
         y1 = abs(1.0 - tau1)
         y2 = target.y - tau2 * y1
@@ -702,15 +703,17 @@ def _stage_pair(target, gain, kind, allocation):
     else:
         y2 = abs(1.0 - tau2)
         y1 = (target.y - y2) / tau2
-        if y1 < abs(1.0 - tau1) - CP_SLACK:
+        if not abs(1.0 - tau1) - CP_SLACK <= y1 < math.inf:
             return None
         y1 = max(y1, abs(1.0 - tau1))
     return tau1, y1, tau2, y2
 
 
 def _stages_bound(tau1: float, y1: float, tau2: float, y2: float) -> float:
-    """Bound of a two-stage candidate: the smaller of its stages' direct bounds."""
-    return min(_direct_upper_bound(tau1, y1), _direct_upper_bound(tau2, y2))
+    """The smaller of a candidate's two stage direct bounds; inf if a stage is off its domain."""
+    with contextlib.suppress(ParamDomainError):
+        return min(_direct_upper_bound(tau1, y1), _direct_upper_bound(tau2, y2))
+    return math.inf
 
 
 def golden_section_minimize(f, a: float, b: float):
@@ -734,51 +737,48 @@ def golden_section_minimize(f, a: float, b: float):
     return x, min(f1, f2)
 
 
-def _gain_interval(target: PhaseInsensitiveParams, kind: str) -> tuple:
+def _gain_interval(target: PhaseInsensitiveParams) -> tuple:
     """Gains [max(1, tau), G_max] with a CP stage pair in both allocations
-    (`_stage_pair`'s rule solved for G): amplifier_first G <= 2 tau / (1 + tau - y),
-    or any G if 1 + tau <= y, and amplifier_last G <= (1 + tau + y) / 2; G_max
-    is capped at DECOMPOSITION_GAIN_MAX times the start."""
+    (`_stage_pair`'s rule solved for G): G <= 2 tau / (1 + tau - y), or any G
+    if 1 + tau <= y; G_max is capped at DECOMPOSITION_GAIN_MAX times the start."""
     start = max(1.0, target.tau)
-    if kind == "amplifier_first":
-        excess = 1.0 + target.tau - target.y
-        end = 2.0 * target.tau / excess if excess > 0.0 else math.inf
-    else:
-        end = (1.0 + target.tau + target.y) / 2.0
+    excess = 1.0 + target.tau - target.y
+    end = 2.0 * target.tau / excess if excess > 0.0 else math.inf
     return start, max(start, min(end, DECOMPOSITION_GAIN_MAX * start))
 
 
 _STEP = math.exp(1e-6)  # a row's search probes its ends this factor (1e-6 in log G) inside
 
 
-def _branch_minimum(target, kind, allocation, lo, hi) -> tuple:
-    """(bound, gain) of the best candidate of one branch on its gains [lo, hi].
+def _branch_minimum(target, allocation, lo, hi) -> tuple:
+    """(bound, gain) of the best candidate of one allocation on the gains [lo, hi].
 
     One stage is quantum-limited, so its bound falls with the gain and is
     least at hi; the other (noisy) stage moves on a line in (tau, y), in one
-    family inside (lo, hi). The minimum is thus the best of the two ends,
-    taken whole, and of each noisy upper row's minimum; a row reads inf
-    where it does not apply. A row is searched by golden section only when
-    it falls away from both ends, read one and two steps inside them (a row
-    need not be defined at an end itself); the winner is re-evaluated whole.
+    family inside (lo, hi): attenuators for min_noise_first, amplifiers for
+    min_noise_last. The minimum is thus the best of the two ends, taken
+    whole, and of each noisy upper row's minimum; a row reads inf where it
+    does not apply. A row is searched by golden section only when it falls
+    away from both ends, read one and two steps inside them (a row need not
+    be defined at an end itself); the winner is re-evaluated whole.
     """
 
     def whole(gain):
-        stages = _stage_pair(target, gain, kind, allocation)
+        stages = _stage_pair(target, gain, allocation)
         return math.inf if stages is None else _stages_bound(*stages), gain
 
-    k = 2 if allocation == "min_noise_first" else 0  # the noisy stage's tau is G or tau / G
-    family = "amplifier" if (kind == "amplifier_first") == (k == 0) else "attenuator"
+    k, family = (2, "attenuator") if allocation == "min_noise_first" else (0, "amplifier")
     fam = FAMILIES[family]
 
     @functools.cache
     def noisy(gain):
-        """Checked parameters of the noisy stage, or None off its family."""
-        stages = _stage_pair(target, gain, kind, allocation)
+        """Checked parameters of the noisy stage, or None off its family or its domain."""
+        stages = _stage_pair(target, gain, allocation)
         name, args = _family_of(*stages[k : k + 2]) if stages else ("", ())
-        if name == family:
-            fam.check(*args)
-            return args
+        with contextlib.suppress(ParamDomainError):
+            if name == family:
+                fam.check(*args)
+                return args
 
     def value(row, gain):
         args = noisy(gain)
@@ -802,19 +802,18 @@ def combined_decomposition_bound(
     target: PhaseInsensitiveParams,
     grid: int = DECOMPOSITION_GRID,
 ) -> DecompositionBound:
-    """Best upper bound over two-stage attenuator/amplifier decompositions.
+    """Best upper bound over two-stage amplifier-then-attenuator decompositions.
 
-    Every candidate writes the target as amplifier-then-attenuator or
-    attenuator-then-amplifier at the (tau, y) level, parametrized by the
-    amplifier gain; the added noise is allocated by putting the minimum
-    CP-allowed noise on one stage and the remainder on the other, both ways.
-    Each feasible candidate bounds the target by the smaller of the two
-    stages' best direct upper bounds; the direct bounds on the target itself
+    Each candidate writes the target in (tau, y) as an amplifier of gain G,
+    then an attenuator tau / G, with the minimum CP-allowed noise on one
+    stage and the rest on the other, both ways; each of these allocations is
+    minimized exactly over its feasible gains (`_gain_interval`,
+    `_branch_minimum`), both ends included. A candidate bounds the target by
+    the smaller of its stages' direct upper bounds, and the target's own
     enter as the trivial decomposition, so the result never exceeds them.
-
-    Each of the four branches is minimized exactly over its feasible gains
-    (`_gain_interval`, `_branch_minimum`), both ends included. `grid` is
-    validated but no longer steers the scan.
+    Attenuator-first splits are not searched: on 20,000 random targets they
+    never gave a smaller value (a census, not a proof), though they can where
+    the G = 1 noise (y - 1 + tau) / tau overflows. `grid` is validated but unused.
     """
     if not 2 <= grid <= MAX_GRID_POINTS:
         raise ParamDomainError(f"need 2 <= grid <= {MAX_GRID_POINTS}, got {grid}")
@@ -827,12 +826,12 @@ def combined_decomposition_bound(
     if direct == 0.0:
         return best  # a candidate replaces the best only when strictly smaller
 
-    for kind in ("amplifier_first", "amplifier_last"):
-        lo, hi = _gain_interval(target, kind)
-        for allocation in ("min_noise_first", "min_noise_last"):
-            value, gain = _branch_minimum(target, kind, allocation, lo, hi)
-            if value < best.value:
-                stages = _stage_pair(target, gain, kind, allocation)
-                pair = PhaseInsensitiveParams(*stages[:2]), PhaseInsensitiveParams(*stages[2:])
-                best = DecompositionBound(value, DecompositionWitness(kind, allocation, *pair))
+    lo, hi = _gain_interval(target)
+    for allocation in ("min_noise_first", "min_noise_last"):
+        value, gain = _branch_minimum(target, allocation, lo, hi)
+        if value < best.value:
+            stages = _stage_pair(target, gain, allocation)
+            pair = PhaseInsensitiveParams(*stages[:2]), PhaseInsensitiveParams(*stages[2:])
+            witness = DecompositionWitness("amplifier_first", allocation, *pair)
+            best = DecompositionBound(value, witness)
     return best

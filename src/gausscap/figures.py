@@ -76,7 +76,8 @@ def write_csv(series: FigureSeries, path) -> None:
     cells = tuple(np.array(columns, dtype=float).T.ravel().tolist())  # None becomes NaN
     table = (",".join(["%.12g"] * len(columns)) + "\n") * len(series.x_values) % cells
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n" + table.replace("nan", ""))  # "%.12g" % NaN is "nan"
+        fh.write("\n".join(lines) + "\n")
+        fh.write(table.replace("nan", ""))  # "%.12g" % NaN is "nan"
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:

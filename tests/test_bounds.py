@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gausscap.bounds import (
     DECOMPOSITION_GAIN_MAX,
@@ -486,13 +486,16 @@ def _amplifier_point(log_gain_excess, N):
     return 1.0 + excess, excess * (2.0 * N + 1.0)
 
 
-@given(
-    st.one_of(
-        st.builds(_attenuator_point, st.floats(-15.0, math.log10(0.5)), st.booleans(), _PHOTONS),
-        st.builds(_amplifier_point, st.floats(-6.0, 6.0), _PHOTONS),
-        st.floats(-300.0, 300.0).map(lambda e: (1.0, 2.0 / 10.0**e)),  # additive, y = 2/beta
-    )
+# (tau, y) of attenuators (tau -> 0, 1/2 and 1), amplifiers (tau -> 1 and
+# 10^6) and additive noise, each with photon numbers out to 10^+-300
+_POINTS = st.one_of(
+    st.builds(_attenuator_point, st.floats(-15.0, math.log10(0.5)), st.booleans(), _PHOTONS),
+    st.builds(_amplifier_point, st.floats(-6.0, 6.0), _PHOTONS),
+    st.floats(-300.0, 300.0).map(lambda e: (1.0, 2.0 / 10.0**e)),  # additive, y = 2/beta
 )
+
+
+@given(_POINTS)
 @example((0.7, 0.3 * 1.1))
 @example((1.5, 0.5 * 2.0))
 @example((1.0 + 5e-11, 0.5))
@@ -778,6 +781,34 @@ _KINDS = ("amplifier_first", "amplifier_last")
 _ALLOCATIONS = ("min_noise_first", "min_noise_last")
 
 
+# The scan searches amplifier_first only. amplifier_last, attenuator tau / G
+# then amplifier G, is kept here as a reference: its gains end at the CP
+# limit (1 + tau + y) / 2, and `_pair` splits its noise by `_stage_pair`'s rule.
+def _interval(target, kind):
+    if kind == "amplifier_first":
+        return _gain_interval(target)
+    start = max(1.0, target.tau)
+    end = (1.0 + target.tau + target.y) / 2.0
+    return start, max(start, min(end, DECOMPOSITION_GAIN_MAX * start))
+
+
+def _pair(target, gain, kind, allocation):
+    if kind == "amplifier_first":
+        return _stage_pair(target, gain, allocation)
+    tau1, tau2 = target.tau / gain, gain
+    if allocation == "min_noise_first":
+        y1 = abs(1.0 - tau1)
+        y2 = target.y - tau2 * y1
+        if y2 < abs(1.0 - tau2) - CP_SLACK:
+            return None
+        return tau1, y1, tau2, max(y2, abs(1.0 - tau2))
+    y2 = abs(1.0 - tau2)
+    y1 = (target.y - y2) / tau2
+    if y1 < abs(1.0 - tau1) - CP_SLACK:
+        return None
+    return tau1, max(y1, abs(1.0 - tau1)), tau2, y2
+
+
 def _assert_gain_interval(target, kind, limit):
     """The scan's gains for `kind` are [max(1, tau), G_max], with G_max the
     closed-form CP limit `limit` unless DECOMPOSITION_GAIN_MAX x the start cuts
@@ -785,14 +816,14 @@ def _assert_gain_interval(target, kind, limit):
     log-spaced gains over [start, G_max], both ends included, and just below
     G_max, so the golden searches inside the interval never leave it; none
     just above an uncapped G_max."""
-    lo, hi = _gain_interval(target, kind)
+    lo, hi = _interval(target, kind)
     assert lo == max(1.0, target.tau)
     cap = DECOMPOSITION_GAIN_MAX * lo
     assert hi == pytest.approx(min(limit, cap), rel=1e-12)
     for allocation in _ALLOCATIONS:
         for gain in np.geomspace(lo, hi, 400).tolist() + [lo, hi * (1.0 - 1e-9), hi]:
-            assert _stage_pair(target, gain, kind, allocation) is not None, (gain, allocation)
-        above = _stage_pair(target, hi * (1.0 + 1e-9), kind, allocation)
+            assert _pair(target, gain, kind, allocation) is not None, (gain, allocation)
+        above = _pair(target, hi * (1.0 + 1e-9), kind, allocation)
         assert (above is not None) == (limit > cap * (1.0 + 1e-9)), allocation
 
 
@@ -818,7 +849,7 @@ def test_gain_limits_of_an_attenuator():
     _assert_gain_interval(target, "amplifier_last", 1.0 + N * (1.0 - eta))
     hot = _attenuator_target(0.3, 1.0)  # t < 0
     _assert_gain_interval(hot, "amplifier_first", math.inf)
-    assert _gain_interval(hot, "amplifier_first") == (1.0, DECOMPOSITION_GAIN_MAX)
+    assert _gain_interval(hot) == (1.0, DECOMPOSITION_GAIN_MAX)
 
 
 @given(
@@ -841,13 +872,13 @@ def test_stage_pairs_follow_the_one_cp_rule(tau, sign, exponent, near, offset):
     if excess > 0.0:
         limits.append(2.0 * tau / excess)
     nearby = [limit * (1.0 + near * 10.0**offset) for limit in limits]
-    ends = [gain for kind in _KINDS for gain in _gain_interval(target, kind)]
+    ends = [gain for kind in _KINDS for gain in _interval(target, kind)]
     for gain in ends + nearby:
         for kind in _KINDS:
             tau1, tau2 = (gain, tau / gain) if kind == "amplifier_first" else (tau / gain, gain)
             for allocation in _ALLOCATIONS:
-                stages = _stage_pair(target, gain, kind, allocation)
-                if gain in _gain_interval(target, kind):
+                stages = _pair(target, gain, kind, allocation)
+                if gain in _interval(target, kind):
                     assert stages is not None, (gain, kind, allocation)
                 if stages is not None:
                     PhaseInsensitiveParams(*stages[:2])
@@ -860,13 +891,13 @@ def test_stage_pairs_follow_the_one_cp_rule(tau, sign, exponent, near, offset):
 
 def _dense_decomposition(target, points=2000):
     """Best candidate of a dense scan: `points` log-spaced gains per stage
-    order over its closed-form gains, both ends included, both allocations,
-    and the direct bounds."""
+    order, the scan's and the reference's, over its closed-form gains, both
+    ends included, both allocations, and the direct bounds."""
     best = _direct_upper_bound(target.tau, target.y)
     for kind in _KINDS:
-        for gain in np.geomspace(*_gain_interval(target, kind), points).tolist():
+        for gain in np.geomspace(*_interval(target, kind), points).tolist():
             for allocation in _ALLOCATIONS:
-                stages = _stage_pair(target, gain, kind, allocation)
+                stages = _pair(target, gain, kind, allocation)
                 if stages is not None:
                     best = min(best, _stages_bound(*stages))
     return best
@@ -887,11 +918,59 @@ def test_decomposition_scan_is_exact(target):
     assert result.value <= _dense_decomposition(target) + 1e-9
     family, args = phase_insensitive_family(target)
     assert result.value <= bounds_report(family, **dict(zip(FAMILIES[family].params, args))).combined
-    witness = result.witness
+    _assert_composes(result.witness, target)
+
+
+def _assert_composes(witness, target):
     if witness.kind != "direct":
         composed = witness.stage1.then(witness.stage2)
         assert composed.tau == pytest.approx(target.tau, rel=1e-12)
         assert composed.y == pytest.approx(target.y, rel=1e-12, abs=1e-12)
+
+
+def _scan_target(point):
+    """The target at `point` and its report's combined, or None where the
+    point is the identity or outside its family's domain."""
+    family, args = _family_of(*point)
+    if family == "identity":
+        return None
+    try:
+        report = bounds_report(family, **dict(zip(FAMILIES[family].params, args)))
+    except ParamDomainError:
+        return None
+    return PhaseInsensitiveParams(*point), report.combined
+
+
+@given(_POINTS)
+@example((1e-10, (1.0 - 1e-10) * (2e298 + 1.0)))  # y1 overflows at G = 1
+@example((2.44e-83, (1.0 - 2.44e-83) * (2.0 * 4.82e222 + 1.0)))  # a stage's N overflows
+@example((5e-324, 3.0))  # tau / G underflows to 0
+def test_decomposition_scan_computes_wherever_the_report_does(point):
+    # A candidate with a stage outside its family's domain reads inf, as a
+    # split that is not CP does; it never makes the scan raise.
+    checked = _scan_target(point)
+    if checked is None:
+        return
+    target, combined = checked
+    result = combined_decomposition_bound(target)
+    assert 0.0 <= result.value <= combined < math.inf
+    _assert_composes(result.witness, target)
+
+
+@settings(deadline=None)
+@given(_POINTS)
+@example((0.696, 0.304 * 1.4))
+@example((1.0 - 1e-15, 1e-15 * 3.0))
+def test_decomposition_scan_not_above_the_two_order_reference(point):
+    # The scan's one stage order is never beaten by a dense scan of both,
+    # wherever its G = 1 split, additive noise (y - 1 + tau) / tau then pure
+    # loss tau, has a finite noise. Where that noise overflows, the same
+    # channel split the other way, pure loss then additive noise y - 1 + tau,
+    # still exists, and the reference can read less than the scan.
+    checked = _scan_target(point)
+    if checked is not None and (point[1] - 1.0 + point[0]) / point[0] < math.inf:
+        value = combined_decomposition_bound(checked[0]).value
+        assert value <= _dense_decomposition(checked[0], points=50) + 1e-9
 
 
 def test_decomposition_scan_reaches_the_first_gain():
