@@ -14,7 +14,6 @@ from .symplectic import (  # noqa: E402
     GaussianState,
     bosonic_entropy,
     direct_sum,
-    embed_mean,
     entropy_from_cov,
     gauge_rotation,
     is_physical_cov,

@@ -233,11 +233,13 @@ def _checked_by(*checks):
 
 
 def _check_beta(beta: float):
+    # The additive `domain`, inlined, as sharing it cost lines or speed; test-pinned.
     if not _RECIP_OVERFLOW < beta < math.inf:
         raise _domain_error("beta > 0 with a finite 1/beta", beta=beta)
 
 
 def _check_amp(g: float, N: float):
+    # Fast path: the amplifier `domain`, inlined, as sharing it cost lines or speed; test-pinned.
     if 1.0 < g < math.inf and 0.0 <= N < _SAFE_N:
         return
     if not (1.0 < g < math.inf and 0.0 <= N < math.inf):
@@ -247,6 +249,7 @@ def _check_amp(g: float, N: float):
 
 
 def _check_att(eta: float, N: float):
+    # Fast path: the attenuator `domain`, inlined, as sharing it cost lines or speed; test-pinned.
     if 0.0 < eta < 1.0 and 0.0 <= N < _SAFE_N:
         return
     if not (0.0 < eta < 1.0 and 0.0 <= N < math.inf):

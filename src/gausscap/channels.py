@@ -313,8 +313,7 @@ def to_phase_insensitive(channel: GaussianChannel) -> PhaseInsensitiveParams:
         raise NotPhaseInsensitiveError("channel is not single-mode to single-mode")
     X, Y = channel.X, channel.Y
     if (
-        abs(X[0, 0] - X[1, 1]) > ISO_TOL
-        or np.abs(X - X[0, 0] * np.eye(2)).max() > ISO_TOL
+        np.abs(X - X[0, 0] * np.eye(2)).max() > ISO_TOL
         or np.abs(Y - Y[0, 0] * np.eye(2)).max() > ISO_TOL
         or X[0, 0] < 0
     ):

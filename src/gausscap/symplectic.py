@@ -29,7 +29,6 @@ __all__ = [
     "squeezed_vacuum_cov",
     "gauge_rotation",
     "direct_sum",
-    "embed_mean",
     "GaussianState",
     "vacuum_state",
     "thermal_state",
@@ -39,7 +38,7 @@ __all__ = [
 # Tolerances: every accept/reject threshold of the package, named once and
 # imported by the other modules. "abs" compares as is; "x scale" multiplies by
 # scale = max(1, |V|max) of the matrix under test, as `_validated` returns it.
-# Algorithm parameters (golden-section stop, the scan's first gain, oracle
+# Algorithm parameters (golden-section stop, the scan's probe step _STEP, oracle
 # divergence) stay beside their algorithm in `bounds`.
 SYMMETRY_TOL = 1e-12  # x scale: largest |V - V^T| of a matrix taken as symmetric
 PAIRING_TOL = 1e-9  # x max(1, |eig|max), + _EIG_SLACK x scale: Omega V's +/- i d pairing
@@ -282,12 +281,6 @@ def direct_sum(*blocks: np.ndarray) -> np.ndarray:
         r += b.shape[0]
         c += b.shape[1]
     return out
-
-
-def embed_mean(*means: np.ndarray) -> np.ndarray:
-    """Concatenate mean vectors of subsystems into one mode-ordered vector."""
-    parts = [np.asarray(m, dtype=float).ravel() for m in means]
-    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from gausscap.bounds import (
     DECOMPOSITION_GAIN_MAX,
     FAMILIES,
+    DecompositionWitness,
     MAX_GRID_POINTS,
     InfeasibleDecompositionError,
     OracleDivergedError,
@@ -34,17 +37,25 @@ from gausscap.bounds import (
     combined_decomposition_bound,
     golden_section_minimize,
 )
-from gausscap.bounds import _direct_upper_bound, _gain_interval, _stage_pair, _stages_bound
+from gausscap.bounds import (
+    _SAFE_N,
+    _direct_upper_bound,
+    _gain_interval,
+    _stage_pair,
+    _stages_bound,
+)
 from gausscap.channels import _family_of
 from gausscap.channels import (
     ParamDomainError,
     PhaseInsensitiveParams,
+    attenuator,
     complementary,
     extended_attenuator,
     flagged_additive_noise,
     from_phase_insensitive,
     identity_channel,
     phase_insensitive_family,
+    tensor_with_identity,
 )
 from gausscap.symplectic import CP_SLACK, bosonic_entropy
 
@@ -414,6 +425,31 @@ def test_reciprocal_overflow_edge(x):
             bounds_additive(x)
 
 
+# 0, 1, 2**-1024 and _SAFE_N with one ulp either side, the largest float, inf and NaN.
+_DOMAIN_EDGES = [
+    math.nextafter(x, to)
+    for x in (0.0, 1.0, 2.0**-1024, _SAFE_N)
+    for to in (-math.inf, x, math.inf)
+] + [sys.float_info.max, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_domain_predicate_agrees_with_the_check(family):
+    # The checks inline their family's `domain`. `_bound_columns` runs the
+    # scalar check only outside `domain`, so `domain` must not hold where the
+    # check raises; it may fail where the check passes only in the check's
+    # slow path, N >= _SAFE_N.
+    fam = FAMILIES[family]
+    for args in itertools.product(_DOMAIN_EDGES, repeat=len(fam.params)):
+        inside = bool(fam.domain(*(np.array([x]) for x in args))[0])
+        try:
+            fam.check(*args)
+        except ParamDomainError:
+            assert not inside, args
+        else:
+            assert inside or dict(zip(fam.params, args)).get("N", 0.0) >= _SAFE_N, args
+
+
 @pytest.mark.parametrize("g, N", [(1.000000000000001, 1e-300)])
 def test_amplifier_report_without_additive_factor(g, N):
     # beta_tilde = 1/((g - 1) N) overflows: only the two rows routed through
@@ -582,6 +618,9 @@ def test_oracle_rejects_multimode_input():
 
     with pytest.raises(ParamDomainError):
         coherent_info_thermal(extended_attenuator_pair(0.8, 0.0), M=10.0)
+    two_mode = tensor_with_identity(attenuator(0.2))
+    with pytest.raises(ParamDomainError, match="complement channel must take one mode"):
+        coherent_info_thermal(attenuator(0.2), M=10.0, complement=two_mode)
 
 
 @pytest.mark.parametrize("M", [math.nan, math.inf])
@@ -678,6 +717,7 @@ def test_combined_bound_improves_near_crossing():
     assert direct - result.value > 1e-4
     assert result.witness.kind != "direct"
     assert "stage1" in result.witness.describe()
+    assert DecompositionWitness("direct").describe() == "direct bounds on the target channel"
 
 
 def test_combined_bound_grid_validation():

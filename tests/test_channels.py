@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -36,10 +37,11 @@ from gausscap.symplectic import (
     two_mode_squeezed_state,
     vacuum_state,
 )
-from gausscap.verify import (
+from gausscap.verify import reference_flagged_thermal_cov
+
+from reference_covs import (
     reference_extended_attenuator_thermal_cov,
     reference_flagged_joint_cov,
-    reference_flagged_thermal_cov,
 )
 
 
@@ -96,6 +98,8 @@ def test_param_domain_errors():
         additive_noise(0.0)
     with pytest.raises(ParamDomainError):
         extended_attenuator(0.5, -1.0)
+    with pytest.raises(ParamDomainError, match=re.escape("need tau > 0, got 0.0")):
+        PhaseInsensitiveParams(0.0, 1.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -140,6 +144,18 @@ def test_phase_insensitive_params_reject_non_finite(value):
         PhaseInsensitiveParams(value, 0.5)
     with pytest.raises(ParamDomainError, match="y must be finite"):
         PhaseInsensitiveParams(0.8, value)
+
+
+@pytest.mark.parametrize(
+    "X, Y, match",
+    [
+        (np.eye(3), np.eye(3), re.escape("bad moment-map shapes X(3, 3), Y(3, 3)")),
+        (np.eye(2), np.eye(4), "Y dimension must match the output side of X"),
+    ],
+)
+def test_moment_maps_reject_bad_shapes(X, Y, match):
+    with pytest.raises(ValueError, match=match):
+        GaussianChannel(X, Y)
 
 
 def test_asymmetric_noise_matrix_rejected():

@@ -12,6 +12,7 @@ from gausscap.cli import main
 from gausscap.figures import (
     FigureSeries,
     _grid,
+    build_figure,
     fig1_series,
     fig2_series,
     fig3_inset_series,
@@ -128,6 +129,12 @@ def test_grid_stops_at_its_upper_end(lo, hi, step, count):
 def test_grid_keeps_every_step_of_an_exact_division(lo, span, n):
     # the figure sweeps step by (hi - lo) / n and expect n + 1 points
     assert len(_grid(lo, lo + span, span / n)) == n + 1
+
+
+def test_build_figure_rejects_an_unknown_id():
+    expected = "unknown figure 'fig9'; choose from ('fig1', 'fig2', 'fig3', 'fig3-inset')"
+    with pytest.raises(ParamDomainError, match=re.escape(expected)):
+        build_figure("fig9")
 
 
 def test_write_csv_cells_are_12_significant_digits(tmp_path):

@@ -12,10 +12,10 @@ from gausscap.symplectic import (
     SpectrumPairingError,
     bosonic_entropy,
     direct_sum,
-    embed_mean,
     entropy_from_cov,
     gauge_rotation,
     is_physical_cov,
+    squeezed_vacuum_cov,
     symplectic_eigenvalues,
     symplectic_form,
     thermal_cov,
@@ -200,13 +200,12 @@ def test_entropy_invariant_under_gauge_rotations():
         )
 
 
-def test_direct_sum_and_embed_mean():
+def test_direct_sum():
     assert np.allclose(direct_sum(np.eye(2), np.eye(2)), np.eye(4))
     V = thermal_cov(0.3)
     assert np.allclose(direct_sum(V), V)
     d = symplectic_eigenvalues(direct_sum(3.0 * np.eye(2), two_mode_squeezed_cov(1.0)))
     assert np.allclose(d, [3.0, 1.0, 1.0], atol=1e-10)
-    assert np.allclose(embed_mean([1.0, 2.0], [3.0, 4.0]), [1, 2, 3, 4])
     rect = direct_sum(np.ones((4, 2)), 2.0 * np.eye(2))
     assert rect.shape == (6, 4)
     assert np.allclose(rect[:4, :2], 1.0) and np.allclose(rect[4:, 2:], 2.0 * np.eye(2))
@@ -225,6 +224,19 @@ def test_gaussian_state_validation():
         GaussianState(np.zeros(4), np.eye(2))  # shape mismatch
     with pytest.raises(ValueError):
         GaussianState(np.array([np.inf, 0.0]), np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "make, arg, match",
+    [
+        (thermal_cov, -1.0, "photon number must be nonnegative"),
+        (two_mode_squeezed_cov, -1.0, "photon number must be nonnegative"),
+        (squeezed_vacuum_cov, 0.0, "variance must be positive"),
+    ],
+)
+def test_cov_constructors_reject_out_of_domain(make, arg, match):
+    with pytest.raises(ValueError, match=match):
+        make(arg)
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,12 @@ from gausscap.verify import (
     check_flag_condition,
     check_gauge_covariance,
     check_spectrum_asymptotics,
-    reference_flagged_joint_cov,
     reference_flagged_thermal_cov,
     run_all_checks,
     suite_entries,
 )
+
+from reference_covs import reference_flagged_joint_cov
 
 
 # Each outcome of the suite as frozen before the flag-condition and
