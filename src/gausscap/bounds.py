@@ -23,16 +23,18 @@ from .channels import (
     PhaseInsensitiveParams,
     _domain_error,
     _family_of,
-    apply,
+    _outputs,
     tensor_with_identity,
 )
 from ._np import np
 from .symplectic import (
     CP_SLACK,
     LN2,
+    _physical,
     bosonic_entropy,
-    thermal_state,
-    two_mode_squeezed_state,
+    symplectic_eigenvalues,
+    thermal_cov,
+    two_mode_squeezed_cov,
 )
 
 __all__ = [
@@ -617,11 +619,14 @@ def coherent_info_thermal(
     output) on the thermal state with photon number M. Without it, purifies
     the probe with a two-mode squeezed state and uses S(channel output) minus
     S(joint output of channel tensor identity), which equals the entropy of
-    the environment by purity.
+    the environment by purity. M and M/10 run as one stack through each
+    eigensolve, with every probe and output covariance checked as a state.
 
     Raises:
         OracleDivergedError: if the convergence gap exceeds 1e-2 at M >= 1e5,
-            the signature of a mis-specified channel pair.
+            the signature of a mis-specified channel pair, or of M not far
+            above the channel's noise: `flagged_additive_noise(1e-9)`, whose
+            added variance is 2/beta = 2e9, raises it at the default M = 1e6.
     """
     if channel.n_in != 1:
         raise ParamDomainError("thermal-probe estimator needs a one-mode input")
@@ -630,16 +635,22 @@ def coherent_info_thermal(
     if complement is not None and complement.n_in != 1:
         raise ParamDomainError("complement channel must take one mode")
 
+    energies = (M, M / 10.0)
+    thermal = _physical(np.array([thermal_cov(m) for m in energies]))
     if complement is None:
-        other, probe = tensor_with_identity(channel), two_mode_squeezed_state
+        other = tensor_with_identity(channel)
+        probes = _physical(np.array([two_mode_squeezed_cov(m) for m in energies]))
     else:
-        other, probe = complement, thermal_state
+        other, probes = complement, thermal
 
-    def one(m: float) -> float:
-        return apply(channel, thermal_state(m)).entropy() - apply(other, probe(m)).entropy()
+    def entropies(V) -> list:  # entropy_from_cov of each matrix in the stack
+        spectra = symplectic_eigenvalues(V).tolist()
+        return [sum(bosonic_entropy(max(d, 1.0)) for d in row) for row in spectra]
 
-    value = one(M)
-    gap = abs(value - one(M / 10.0))
+    s_out = entropies(_outputs(channel, thermal))
+    s_env = entropies(_outputs(other, probes))
+    value = s_out[0] - s_env[0]
+    gap = abs(value - (s_out[1] - s_env[1]))
     if M >= ORACLE_DIVERGENCE_M and gap > ORACLE_DIVERGENCE_GAP:
         raise OracleDivergedError(
             f"convergence gap {gap:.3e} at M={M:g}; channel pair is suspect"

@@ -23,6 +23,7 @@ from .symplectic import (
     NonFiniteError,
     _forms,
     _mode_count,
+    _physical,
     _validated,
     direct_sum,
     squeezed_vacuum_cov,
@@ -207,10 +208,9 @@ def extended_attenuator(eta: float, N: float) -> GaussianChannel:
     the thermal attenuator's.
     """
     _check_extension(eta, N)
-    X = np.sqrt(eta) * np.vstack([np.eye(2), np.zeros((2, 2))])
-    Y = (1.0 - eta) * two_mode_squeezed_cov(N) + eta * direct_sum(
-        np.zeros((2, 2)), np.eye(2)
-    )
+    X = math.sqrt(eta) * np.eye(4, 2)
+    Y = (1.0 - eta) * two_mode_squeezed_cov(N)
+    Y[2:, 2:] += eta * np.eye(2)  # the vacuum ancilla's share
     return GaussianChannel(X, Y, "extended_attenuator", (eta, N))
 
 
@@ -260,6 +260,12 @@ def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
     mean = channel.X @ state.mean
     cov = channel.X @ state.cov @ channel.X.T + channel.Y
     return GaussianState(mean, (cov + cov.T) / 2)
+
+
+def _outputs(channel: GaussianChannel, V: np.ndarray) -> np.ndarray:
+    """`apply`'s output covariances, checked as it checks them, on a checked stack V."""
+    out = channel.X @ V @ channel.X.T + channel.Y
+    return _physical((out + out.swapaxes(-1, -2)) / 2)
 
 
 def compose(second: GaussianChannel, first: GaussianChannel) -> GaussianChannel:

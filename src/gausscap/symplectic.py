@@ -94,10 +94,10 @@ def _forms(n: int) -> tuple:
     return omega, i_omega
 
 
-def _validated(V: np.ndarray, what: str = "covariance matrix") -> tuple:
-    """The one validation pass of a 2n x 2n matrix: shape, finite entries and
-    symmetry. Returns V as a float array and its scale max(1, |V|max), the
-    unit of the "x scale" tolerances; `what` names V in errors.
+def _validated(V: np.ndarray, what: str = "covariance matrix", stack: bool = False) -> tuple:
+    """The one validation pass of a 2n x 2n matrix, or with `stack` of each in a
+    (..., 2n, 2n) stack: shape, finite entries, symmetry. Returns V as floats and
+    its scale max(1, |V|max), per matrix, the "x scale" unit; `what` names V.
 
     Raises:
         ValueError: if V is not 2n x 2n with n >= 1.
@@ -105,14 +105,17 @@ def _validated(V: np.ndarray, what: str = "covariance matrix") -> tuple:
         NonSymmetricError: if V is not symmetric within tolerance.
     """
     V = np.asarray(V, dtype=float)
+    if stack and V.ndim > 2:
+        return V, np.array([_validated(v, what, stack)[1] for v in V])
     if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape[0] % 2 != 0 or V.shape[0] == 0:
         raise ValueError(f"expected a 2n x 2n matrix with n >= 1, got shape {V.shape}")
-    # An explicit pass: max(1.0, nan) is 1.0, so the scale cannot catch NaN.
-    if not np.isfinite(V).all():
+    # ndarray.max propagates NaN, so one comparison catches NaN and inf.
+    top = float(np.abs(V).max())
+    if not top < math.inf:
         raise NonFiniteError(f"{what} must be finite")
     # Tolerance scales with the matrix so that exactly-built large covariance
     # matrices (entries ~1e6) are not rejected for eps-level asymmetry.
-    scale = max(1.0, float(np.abs(V).max()))
+    scale = max(1.0, top)
     asym = float(np.abs(V - V.T).max())
     if asym > SYMMETRY_TOL * scale:
         raise NonSymmetricError(f"{what}: asymmetry {asym:.3e} exceeds tolerance")
@@ -124,7 +127,8 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
 
     Returns the n positive values d_k such that the spectrum of i*Omega*V is
     {+d_k, -d_k}. The covariance matrix must be finite, symmetric and even
-    dimensional; a physical matrix has all d_k >= 1.
+    dimensional; a physical matrix has all d_k >= 1. A (..., 2n, 2n) stack
+    gives each matrix's spectrum, bit for bit, and raises if one matrix would.
 
     Raises:
         NonFiniteError: if V has a NaN or infinite entry.
@@ -133,23 +137,23 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
             +/- i*d pairs, which signals a corrupted or badly unphysical
             matrix.
     """
-    V, scale = _validated(V)
-    n = V.shape[0] // 2
+    V, scale = _validated(V, stack=True)
+    n = V.shape[-1] // 2
     eigs = np.linalg.eigvals(_forms(n)[0] @ V)
     # Backward error of the eigensolver grows with the matrix norm; without
     # the second term, strongly squeezed pure states would be rejected.
-    slack = PAIRING_TOL * max(1.0, float(np.abs(eigs).max())) + _EIG_SLACK * scale
-    residue = float(np.abs(eigs.real).max())
-    if residue > slack:
-        raise SpectrumPairingError(f"real residue {residue:.3e} exceeds tolerance")
-    imag = np.sort(eigs.imag)
+    slack = PAIRING_TOL * np.maximum(1.0, np.abs(eigs).max(axis=-1)) + _EIG_SLACK * scale
+    real = np.abs(eigs.real).max(axis=-1)
+    if (real > slack).any():
+        raise SpectrumPairingError(f"real residue {real[real > slack].max():.3e} exceeds tolerance")
+    imag = np.sort(eigs.imag, axis=-1)
     # imag is sorted ascending: entry k must cancel entry -(k+1).
-    mismatch = float(np.abs(imag + imag[::-1]).max())
-    if mismatch > slack:
+    mismatch = np.abs(imag + imag[..., ::-1]).max(axis=-1)
+    if (mismatch > slack).any():
         raise SpectrumPairingError(
-            f"eigenvalues do not pair as +/- i*d (residue {mismatch:.3e})"
+            f"eigenvalues do not pair as +/- i*d (residue {mismatch[mismatch > slack].max():.3e})"
         )
-    return imag[::-1][:n].copy()
+    return imag[..., n:][..., ::-1].copy()
 
 
 def is_physical_cov(V: np.ndarray) -> bool:
@@ -167,10 +171,18 @@ def is_physical_cov(V: np.ndarray) -> bool:
     return _uncertainty_holds(V, scale)
 
 
-def _uncertainty_holds(V: np.ndarray, scale: float) -> bool:
-    """is_physical_cov on a matrix that `_validated` returned with `scale`."""
-    defect = float(np.linalg.eigvalsh(V + _forms(V.shape[0] // 2)[1]).min())
-    return defect >= -PHYSICALITY_TOL * scale
+def _uncertainty_holds(V: np.ndarray, scale) -> bool:
+    """is_physical_cov on each matrix that `_validated` returned with `scale`."""
+    defect = np.linalg.eigvalsh(V + _forms(V.shape[-1] // 2)[1]).min(axis=-1)
+    return bool((defect >= -PHYSICALITY_TOL * scale).all())
+
+
+def _physical(V: np.ndarray) -> np.ndarray:
+    """Each matrix of a (..., 2n, 2n) stack, checked as GaussianState checks one."""
+    V, scale = _validated(V, stack=True)
+    if not _uncertainty_holds(V, scale):
+        raise ValueError("covariance violates the uncertainty relation")
+    return V
 
 
 def bosonic_entropy(x: float) -> float:

@@ -629,6 +629,36 @@ def test_oracle_rejects_non_finite_probe_energy(M):
         coherent_info_thermal(identity_channel(1), M=M)
 
 
+def test_oracle_at_its_domain_edge():
+    channel = extended_attenuator(0.8, 0.05)
+    for comp in (None, complementary(channel)):
+        estimate = coherent_info_thermal(channel, M=1.0, complement=comp)
+        assert estimate.m_used == 1.0 and math.isfinite(estimate.value)
+    with pytest.raises(ParamDomainError, match="M >= 1"):
+        coherent_info_thermal(channel, M=math.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "strategy, solves",
+    [("complement", {"eigvalsh": 3, "eigvals": 2}), ("purified", {"eigvalsh": 5, "eigvals": 2})],
+)
+def test_oracle_eigensolves_per_estimate(monkeypatch, strategy, solves):
+    # M and M/10 share every eigensolve: one uncertainty check per probe and
+    # per output stack, one spectrum per output side, and on the purified
+    # path the CP check of channel tensor identity.
+    channel = extended_attenuator(0.8, 0.05)
+    comp = complementary(channel) if strategy == "complement" else None
+    calls = dict.fromkeys(solves, 0)
+    for name in solves:
+        def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    coherent_info_thermal(channel, M=1e4, complement=comp)
+    assert calls == solves
+
+
 # (value, convergence_gap) of the thermal-probe oracle, frozen with numpy
 # 2.4.6 on OpenBLAS 0.3.31. Validation and matrix assembly may change only
 # if the same eigensolves run on the same matrices, so these repeat bit for

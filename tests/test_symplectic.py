@@ -24,6 +24,7 @@ from gausscap.symplectic import (
     two_mode_squeezed_state,
     vacuum_state,
 )
+from gausscap.symplectic import _physical
 from gausscap.verify import reference_flagged_thermal_cov
 
 
@@ -86,6 +87,55 @@ def test_random_physical_spectra_pair_up():
         assert np.abs(eigs.real).max() <= 1e-9
         paired = np.sort(np.concatenate([d, -d]))
         assert np.allclose(np.sort(eigs.imag), paired, atol=1e-9)
+
+
+def _physical_stack(n_modes: int, k: int = 6) -> np.ndarray:
+    """k seeded physical covariances A A^T + I on n_modes modes, with
+    entries from ~1 to ~1e6, so each matrix has its own scale."""
+    rng = np.random.default_rng(n_modes)
+    A = rng.normal(size=(k, 2 * n_modes, 2 * n_modes)) * np.logspace(0, 3, k)[:, None, None]
+    return A @ A.swapaxes(-1, -2) + np.eye(2 * n_modes)
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 6])
+def test_stacked_spectra_are_the_single_spectra_bit_for_bit(n_modes):
+    V = _physical_stack(n_modes)
+    d = symplectic_eigenvalues(V)
+    assert d.shape == (len(V), n_modes)
+    for k, single in enumerate(V):
+        assert symplectic_eigenvalues(single).shape == (n_modes,)
+        assert d[k].tobytes() == symplectic_eigenvalues(single).tobytes()
+    grid = symplectic_eigenvalues(V.reshape(2, 3, 2 * n_modes, 2 * n_modes))
+    assert grid.tobytes() == d.tobytes() and grid.shape == (2, 3, n_modes)
+
+
+def _raised(f, V):
+    try:
+        f(V)
+    except ValueError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("n_modes", [1, 3])
+@pytest.mark.parametrize("defect", ["nan", "asymmetric", "unphysical", "unpaired"])
+def test_one_bad_matrix_fails_its_stack_as_it_fails_alone(n_modes, defect):
+    dim = 2 * n_modes
+    bad = np.eye(dim)
+    if defect == "nan":
+        bad[0, 0] = np.nan
+    elif defect == "asymmetric":
+        bad[0, 1] = 0.1
+    elif defect == "unphysical":
+        bad *= 0.5
+    else:  # Omega diag(1, -1) has the real spectrum +/- 1
+        bad[1, 1] = -1.0
+    V = _physical_stack(n_modes)
+    V[2] = bad
+    as_state = _raised(lambda M: GaussianState(np.zeros(dim), M), bad)
+    assert as_state is not None
+    assert _raised(_physical, V) is as_state
+    assert _raised(symplectic_eigenvalues, V) is _raised(symplectic_eigenvalues, bad)
 
 
 def test_bosonic_entropy_reference_points():
@@ -248,6 +298,7 @@ def test_cov_constructors_reject_out_of_domain(make, arg, match):
         (np.zeros(2), np.diag([np.inf, 1.0]), NonFiniteError, "covariance matrix must be finite"),
         (np.array([np.nan, 0.0]), np.eye(2), NonFiniteError, "mean vector must be finite"),
         (np.zeros(0), np.zeros((0, 0)), ValueError, r"with n >= 1, got shape \(0, 0\)"),
+        (np.zeros(2), np.stack([np.eye(2)] * 2), ValueError, r"got shape \(2, 2, 2\)"),
     ],
 )
 def test_gaussian_state_rejections(mean, cov, error, match):
