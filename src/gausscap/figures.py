@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from ._np import np
 
 from . import __version__
-from .bounds import MAX_GRID_POINTS, _bound_columns
-from .bounds import combined_decomposition_bound
+from .bounds import MAX_GRID_POINTS, _bound_columns, combined_decomposition_bound
 from .channels import ParamDomainError, PhaseInsensitiveParams, _domain_error
 from .symplectic import GRID_END_TOL
 
@@ -81,9 +80,10 @@ def write_csv(series: FigureSeries, path) -> None:
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """lo, lo + step, ... up to hi: the last point is at most hi, to within
-    GRID_END_TOL of a step, so a span that is a multiple of the step keeps its end."""
-    steps = (hi - lo) / step + GRID_END_TOL if 0.0 < step < math.inf else math.nan
+    """lo, lo + step, ... up to hi: the last point is at most hi, to within GRID_END_TOL of a
+    step plus an ulp of |lo| + |hi|, so a span that is a multiple of the step keeps its end."""
+    steps = ((hi - lo) / step + GRID_END_TOL + min(0.5, math.ulp(abs(lo) + abs(hi)) / step)
+             if 0.0 < step < math.inf else math.nan)  # the ulp: lo and hi are rounded too
     if not 0.0 <= steps < MAX_GRID_POINTS:  # NaN and inf fail the comparison too
         raise ParamDomainError(f"need 1 to {MAX_GRID_POINTS} grid points, got [{lo}, {hi}] step {step}")
     return lo + step * np.arange(math.floor(steps) + 1)

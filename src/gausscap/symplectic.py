@@ -50,7 +50,7 @@ CP_TOL = 1e-10  # abs, + _EIG_SLACK x scale of Y: a channel's CP form may dip th
 CP_SLACK = 1e-12  # abs: a phase-insensitive y may fall this far below |1 - tau|
 MIXING_PSD_TOL = 1e-12  # abs: a classical-mixing covariance may dip this far below 0
 ISO_TOL = 1e-10  # abs: isotropy of a single-mode (X, Y); tau = 1 and y = 0 within it
-GRID_END_TOL = 1e-9  # x step: a stepped figure grid keeps an end this far past hi
+GRID_END_TOL = 1e-9  # x step, + ulp(|lo| + |hi|): a stepped figure grid keeps an end this far past hi
 CHECK_EXACT_TOL = 1e-12  # abs: verify's degradability, flag-condition and mixing residuals
 CHECK_GAUGE_TOL = 1e-10  # abs: verify's gauge-covariance residuals
 CHECK_GROWTH_TOL = 1e-5  # relative: verify's spectrum growth rates, 10 / the top probe M 1e6

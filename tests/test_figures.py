@@ -126,6 +126,7 @@ def test_grid_stops_at_its_upper_end(lo, hi, step, count):
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(1e-3, 1.0), st.integers(1, 10**5))
+@example(1.0, 0.0025, 46803)  # the rounding of hi = 1.0025 alone is 4e-9 of this step
 def test_grid_keeps_every_step_of_an_exact_division(lo, span, n):
     # the figure sweeps step by (hi - lo) / n and expect n + 1 points
     assert len(_grid(lo, lo + span, span / n)) == n + 1
