@@ -23,6 +23,7 @@ from .channels import (
     PhaseInsensitiveParams,
     _domain_error,
     _family_of,
+    _finite_term,
     _outputs,
     tensor_with_identity,
 )
@@ -203,7 +204,7 @@ def _column_forms() -> dict:
 
         return column
 
-    log1p = mapped(math.log1p)
+    log1p, log2 = mapped(math.log1p), mapped(math.log2)
 
     def h(x):  # `bosonic_entropy` at x >= 1 - ENTROPY_DOMAIN_TOL, as at every checked point
         out = np.where(x > 1.0, x, 0.0)  # 0 up to 1, inf at inf
@@ -212,7 +213,12 @@ def _column_forms() -> dict:
         out[live] = (log1p(b) + b * log1p(1.0 / b)) / LN2
         return out
 
-    return _closed_forms(mapped(math.log2), mapped(_log2_or_ninf), h, mapped(math.hypot))
+    def log2_or_ninf(x):  # `_log2_or_ninf`: -inf at or below 0, and at NaN
+        out, live = np.full(np.shape(x), -math.inf), x > 0.0
+        out[live] = log2(x[live])
+        return out
+
+    return _closed_forms(log2, log2_or_ninf, h, mapped(math.hypot))
 
 
 def _checked_by(*checks):
@@ -538,7 +544,8 @@ def _bound_columns(family: str, *params) -> dict:
     bit-identical: {row name, then "combined": (applies, clamped)} columns,
     clamped NaN where a row is not evaluated. A point outside the family's
     `domain` gets the scalar check, which raises as a report would."""
-    fam, cols = FAMILIES[family], np.broadcast_arrays(*params)
+    fam, params = FAMILIES[family], [np.asarray(p, dtype=float) for p in params]
+    cols = np.broadcast_arrays(*params)
     for i in np.flatnonzero(~fam.domain(*cols)).tolist():
         fam.check(*(c[i].item() for c in cols))
     forms, n = _column_forms(), len(cols[0])
@@ -548,7 +555,8 @@ def _bound_columns(family: str, *params) -> dict:
             applies = everywhere if row.applies is None else row.applies(*cols)
             live = everywhere if row.defined_everywhere else applies
             raw = np.full(n, math.nan)
-            raw[live] = forms[row.formula.__name__](*(c[live] for c in cols))
+            # A scalar parameter stays 0-d, so a term in it alone, h(2N + 1), runs once.
+            raw[live] = forms[row.formula.__name__](*(p[live] if p.ndim else p for p in params))
             values[row.name] = applies, raw
             if row is not fam.lower:
                 best = np.where(applies & (raw < best), raw, best)
@@ -623,6 +631,8 @@ def coherent_info_thermal(
     eigensolve, with every probe and output covariance checked as a state.
 
     Raises:
+        ParamDomainError: for M < 1, or where 2M + 1, or on the purified
+            path M(M + 1), overflows; the message names M.
         OracleDivergedError: if the convergence gap exceeds 1e-2 at M >= 1e5,
             the signature of a mis-specified channel pair, or of M not far
             above the channel's noise: `flagged_additive_noise(1e-9)`, whose
@@ -634,6 +644,9 @@ def coherent_info_thermal(
         raise _domain_error("probe photon number M >= 1", M=M)
     if complement is not None and complement.n_in != 1:
         raise ParamDomainError("complement channel must take one mode")
+    _finite_term(2.0 * M + 1.0, "2M + 1", M=M)
+    if complement is None:
+        _finite_term(M * (M + 1.0), "M(M + 1)", M=M)
 
     energies = (M, M / 10.0)
     thermal = _physical(np.array([thermal_cov(m) for m in energies]))

@@ -263,8 +263,9 @@ def apply(channel: GaussianChannel, state: GaussianState) -> GaussianState:
 
 
 def _outputs(channel: GaussianChannel, V: np.ndarray) -> np.ndarray:
-    """`apply`'s output covariances, checked as it checks them, on a checked stack V."""
-    out = channel.X @ V @ channel.X.T + channel.Y
+    """`apply`'s output covariances, checked as it checks them, on a checked stack V;
+    the channel's X and Y may be stacks of the same length."""
+    out = channel.X @ V @ channel.X.swapaxes(-1, -2) + channel.Y
     return _physical((out + out.swapaxes(-1, -2)) / 2)
 
 

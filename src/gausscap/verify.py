@@ -3,14 +3,15 @@
 Each check recomputes one identity from scratch (reference matrices are
 written out entry by entry, not taken from the channel constructors) and
 reports the largest residual seen. Sampling is seeded, so the whole suite is
-deterministic for a given seed.
+deterministic for a given seed; each check draws its samples as one batch and
+evaluates them as array stacks.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from ._np import np
 
@@ -31,7 +32,6 @@ from .symplectic import (
     CHECK_GAUGE_TOL,
     CHECK_GROWTH_TOL,
     CHECK_UNIT_TOL,
-    GaussianState,
     _physical,
     direct_sum,
     gauge_rotation,
@@ -126,12 +126,13 @@ def check_extended_attenuator_degradability(eta: float, N: float) -> CheckOutcom
     return CheckOutcome(name, passed, float(residual), CHECK_EXACT_TOL, 1, details)
 
 
-def _flag_overlap(gamma: float, bra, flag, beta: float) -> complex:
+def _flag_overlap(gamma: float, bra, flag, beta):
     """Position-basis overlap of the product flag state at label `flag`,
-    evaluated at the rescaled point gamma * bra."""
-    a, b = bra
-    x, p = flag
-    return math.sqrt(beta / (2 * math.pi)) * cmath.exp(
+    evaluated at the rescaled point gamma * bra; labels are (..., 2) arrays
+    and beta broadcasts against their leading axes."""
+    a, b = np.transpose(bra)
+    x, p = np.transpose(flag)
+    return np.sqrt(beta / (2 * np.pi)) * np.exp(
         -beta * gamma**2 * (a * a + b * b) / 4 - gamma * (1j * b * x - 1j * a * p) / 2
     )
 
@@ -144,70 +145,55 @@ def check_flag_condition(gamma: float = 1.0, seed: int = DEFAULT_SEED) -> CheckO
     Weyl phase exp(-i r'^T Omega r), which reduces the operator identity to
     a scalar one. It holds exactly for the rescaling gamma = 1 and for no
     other gamma. Each of the _FLAG_SAMPLES samples draws beta ~ U[0.25, 4]
-    and two labels, and is evaluated on plain floats.
+    and two labels; all are drawn as one batch and evaluated as arrays.
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_FLAG_SAMPLES):
-        b = float(rng.uniform(0.25, 4.0))
-        r = rng.normal(size=2).tolist()
-        rp = rng.normal(size=2).tolist()
-        # r'^T Omega r with Omega = [[0, 1], [-1, 0]]
-        weyl = cmath.exp(-1j * (rp[0] * r[1] - rp[1] * r[0]))
-        lhs = _flag_overlap(gamma, rp, r, b) * math.exp(-b * (r[0] ** 2 + r[1] ** 2) / 4) * weyl
-        rhs = _flag_overlap(gamma, r, rp, b) * math.exp(-b * (rp[0] ** 2 + rp[1] ** 2) / 4)
-        worst = max(worst, abs(lhs - rhs))
+    b = rng.uniform(0.25, 4.0, _FLAG_SAMPLES)
+    r, rp = rng.normal(size=(2, _FLAG_SAMPLES, 2))
+    # r'^T Omega r with Omega = [[0, 1], [-1, 0]]
+    weyl = np.exp(-1j * (rp[:, 0] * r[:, 1] - rp[:, 1] * r[:, 0]))
+    lhs = _flag_overlap(gamma, rp, r, b) * np.exp(-b * (r[:, 0] ** 2 + r[:, 1] ** 2) / 4) * weyl
+    rhs = _flag_overlap(gamma, r, rp, b) * np.exp(-b * (rp[:, 0] ** 2 + rp[:, 1] ** 2) / 4)
+    worst = float(np.abs(lhs - rhs).max())
     name = f"flag_condition(gamma={gamma:g}, beta~U[0.25,4])"
     details = f"max |lhs - rhs| over sampled label pairs = {worst:.3e}"
     passed = bool(worst <= CHECK_EXACT_TOL)
-    return CheckOutcome(name, passed, float(worst), CHECK_EXACT_TOL, _FLAG_SAMPLES, details)
-
-
-def _random_single_mode_state(rng) -> GaussianState:
-    A = rng.normal(size=(2, 2))
-    V = A @ A.T + np.eye(2)
-    return GaussianState(rng.normal(size=2), V)
+    return CheckOutcome(name, passed, worst, CHECK_EXACT_TOL, _FLAG_SAMPLES, details)
 
 
 def check_gauge_covariance(family: str, seed: int = DEFAULT_SEED) -> CheckOutcome:
     """Rotating the input commutes with the channel up to the matching
     output rotation, at the level of means and covariances, over
-    _GAUGE_SAMPLES sampled (channel, theta, state) triples."""
+    _GAUGE_SAMPLES sampled (channel, theta, state) triples. Each channel is
+    built by its public constructor; the angles and states are drawn as one
+    batch, and every input and output covariance is checked as a state."""
     if family == "flagged_additive":
-        def channel_for(rng):
-            return flagged_additive_noise(float(rng.uniform(0.3, 4.0)))
-        out_pattern = "flagged"
+        make, ranges, out_pattern = flagged_additive_noise, [(0.3, 4.0)], "flagged"
     elif family == "extended_attenuator":
-        def channel_for(rng):
-            return extended_attenuator(
-                float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.0, 2.0))
-            )
-        out_pattern = "extended"
+        make, ranges, out_pattern = extended_attenuator, [(0.05, 0.95), (0.0, 2.0)], "extended"
     else:
         raise ValueError(f"no gauge-covariance rule for family {family!r}")
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(_GAUGE_SAMPLES):
-        channel = channel_for(rng)
-        theta = float(rng.uniform(0.0, 2 * np.pi))
-        state = _random_single_mode_state(rng)
-        rot_in = gauge_rotation(theta, "single")
-        rot_out = gauge_rotation(theta, out_pattern)
-        rotated = GaussianState(rot_in @ state.mean, rot_in @ state.cov @ rot_in.T)
-        lhs = apply(channel, rotated)
-        ref = apply(channel, state)
-        rhs_mean = rot_out @ ref.mean
-        rhs_cov = rot_out @ ref.cov @ rot_out.T
-        worst = max(
-            worst,
-            np.abs(lhs.cov - rhs_cov).max(),
-            np.abs(lhs.mean - rhs_mean).max(),
-        )
+    draws = [rng.uniform(lo, hi, _GAUGE_SAMPLES).tolist() for lo, hi in ranges]
+    channels = [make(*params) for params in zip(*draws)]
+    thetas = rng.uniform(0.0, 2 * np.pi, _GAUGE_SAMPLES).tolist()
+    A = rng.normal(size=(_GAUGE_SAMPLES, 2, 2))
+    means = rng.normal(size=(_GAUGE_SAMPLES, 2, 1))
+    rot_in = np.array([gauge_rotation(theta, "single") for theta in thetas])
+    rot_out = np.array([gauge_rotation(theta, out_pattern) for theta in thetas])
+    V = _physical(A @ A.swapaxes(-1, -2) + np.eye(2))
+    rotated = _physical(rot_in @ V @ rot_in.swapaxes(-1, -2))
+    X = np.array([c.X for c in channels])
+    stacked = SimpleNamespace(X=X, Y=np.array([c.Y for c in channels]))
+    lhs = _outputs(stacked, rotated)
+    rhs = rot_out @ _outputs(stacked, V) @ rot_out.swapaxes(-1, -2)
+    mean_gap = np.abs(X @ (rot_in @ means) - rot_out @ (X @ means)).max()
+    worst = float(max(np.abs(lhs - rhs).max(), mean_gap))
     name = f"gauge_covariance({family})"
     details = f"max mean/cov residual over sampled (theta, state) = {worst:.3e}"
     passed = bool(worst <= CHECK_GAUGE_TOL)
-    return CheckOutcome(name, passed, float(worst), CHECK_GAUGE_TOL, _GAUGE_SAMPLES, details)
+    return CheckOutcome(name, passed, worst, CHECK_GAUGE_TOL, _GAUGE_SAMPLES, details)
 
 
 def check_classical_mixing_representation(beta: float, M: float = 1.0) -> CheckOutcome:

@@ -537,6 +537,32 @@ def test_oracle_overflowing_parameter_exit_code(capsys, argv, named):
     assert err.startswith("error: need ") and f"finite, got {named}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, term",
+    [
+        (["--extended-attenuator", "--eta", "0.8", "--n", "0.05", "--m", "1.7e308"], "2M + 1"),
+        (["--flagged", "--beta", "2", "--m", "1e200"], "M(M + 1)"),
+    ],
+)
+def test_oracle_overflowing_probe_energy_names_m(capsys, argv, term):
+    # Rejected before any probe matrix is built: no numpy warning on the way.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "oracle", *argv)
+    assert code == 2
+    assert out == "" and caught == []
+    assert err == f"error: need {term} finite, got M={float(argv[-1])}\n"
+
+
+def test_oracle_complement_path_takes_a_huge_probe_energy(capsys):
+    # 2M + 1 is finite at M = 1e200; only the purified probe needs M(M + 1).
+    code, out, _ = run_cli(
+        capsys, "oracle", "--extended-attenuator", "--eta", "0.8", "--n", "0.05", "--m", "1e200"
+    )
+    assert code == 0
+    assert "value_bits: 1.83633629071\n" in out
+
+
 def test_oracle_divergence_is_a_domain_error(capsys):
     code, _, err = run_cli(capsys, "oracle", "--identity", "--m", "1e6")
     assert code == 2

@@ -1,7 +1,15 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
+from gausscap import channels, verify
+from gausscap.channels import GaussianChannel
+from gausscap.symplectic import CHECK_GAUGE_TOL
 from gausscap.verify import (
+    _FLAG_SAMPLES,
+    _GAUGE_SAMPLES,
     DEFAULT_SEED,
     check_classical_mixing_representation,
     check_extended_attenuator_degradability,
@@ -98,6 +106,105 @@ def test_flag_condition_fails_away_from_unit_gamma(gamma):
     outcome = check_flag_condition(gamma=gamma)
     assert not outcome.passed
     assert outcome.max_residual > 0.1
+
+
+def reference_flag_residual(gamma: float, seed: int) -> float:
+    """The flag condition sample by sample on Python complex numbers, on the
+    batch draws of check_flag_condition: the largest |lhs - rhs|."""
+    rng = np.random.default_rng(seed)
+    betas = rng.uniform(0.25, 4.0, _FLAG_SAMPLES).tolist()
+    labels = rng.normal(size=(_FLAG_SAMPLES, 2)).tolist()
+    primed = rng.normal(size=(_FLAG_SAMPLES, 2)).tolist()
+
+    def overlap(bra, flag, beta):
+        (a, b), (x, p) = bra, flag
+        return math.sqrt(beta / (2 * math.pi)) * cmath.exp(
+            -beta * gamma**2 * (a * a + b * b) / 4 - gamma * (1j * b * x - 1j * a * p) / 2
+        )
+
+    worst = 0.0
+    for beta, r, rp in zip(betas, labels, primed):
+        weyl = cmath.exp(-1j * (rp[0] * r[1] - rp[1] * r[0]))
+        lhs = overlap(rp, r, beta) * math.exp(-beta * (r[0] ** 2 + r[1] ** 2) / 4) * weyl
+        rhs = overlap(r, rp, beta) * math.exp(-beta * (rp[0] ** 2 + rp[1] ** 2) / 4)
+        worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 7])
+@pytest.mark.parametrize("gamma", [1.0, 0.5, 2.0])
+def test_flag_condition_matches_the_per_sample_reference(gamma, seed):
+    stacked = check_flag_condition(gamma=gamma, seed=seed).max_residual
+    reference = reference_flag_residual(gamma, seed)
+    if gamma == 1.0:
+        assert abs(stacked - reference) <= 1e-15
+    else:
+        assert stacked == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("family", ["flagged_additive", "extended_attenuator"])
+def test_gauge_covariance_fails_without_the_output_rotation(monkeypatch, family):
+    rotation = verify.gauge_rotation
+
+    def input_only(theta, pattern="single"):
+        R = rotation(theta, pattern)
+        return R if pattern == "single" else np.eye(len(R))
+
+    monkeypatch.setattr(verify, "gauge_rotation", input_only)
+    outcome = check_gauge_covariance(family)
+    assert not outcome.passed
+    assert outcome.max_residual > CHECK_GAUGE_TOL
+
+
+@pytest.mark.parametrize(
+    "family, constructor",
+    [("flagged_additive", "flagged_additive_noise"), ("extended_attenuator", "extended_attenuator")],
+)
+def test_gauge_covariance_builds_each_channel_publicly(monkeypatch, family, constructor):
+    public, built = getattr(verify, constructor), []
+
+    def counted(*params):
+        built.append(public(*params))
+        return built[-1]
+
+    monkeypatch.setattr(verify, constructor, counted)
+    assert check_gauge_covariance(family).passed
+    assert len(built) == _GAUGE_SAMPLES
+    assert {channel.family for channel in built} == {family}
+
+
+@pytest.mark.parametrize("slot", [0, _GAUGE_SAMPLES - 1])
+@pytest.mark.parametrize(
+    "family, constructor",
+    [("flagged_additive", "flagged_additive_noise"), ("extended_attenuator", "extended_attenuator")],
+)
+def test_gauge_covariance_sees_each_sampled_channel(monkeypatch, family, constructor, slot):
+    # A squeezer ahead of one sampled channel keeps it CP but breaks phase covariance.
+    public, built = getattr(verify, constructor), []
+
+    def one_squeezed(*params):
+        channel = public(*params)
+        if len(built) == slot:
+            channel = GaussianChannel(channel.X @ np.diag([2.0, 0.5]), channel.Y)
+        built.append(channel)
+        return channel
+
+    monkeypatch.setattr(verify, constructor, one_squeezed)
+    assert not check_gauge_covariance(family).passed
+
+
+@pytest.mark.parametrize("family", ["flagged_additive", "extended_attenuator"])
+def test_gauge_covariance_checks_every_covariance_as_a_state(monkeypatch, family):
+    # Input and rotated input in verify, both output stacks in channels._outputs.
+    checked = []
+    for module in (verify, channels):
+        def counted(V, physical=module._physical):
+            checked.append(len(V))
+            return physical(V)
+
+        monkeypatch.setattr(module, "_physical", counted)
+    assert check_gauge_covariance(family).passed
+    assert checked == [_GAUGE_SAMPLES] * 4
 
 
 def test_gauge_covariance_checks():
