@@ -9,7 +9,6 @@ degradable-extension formulas. All values are in bits; raw bound values may
 be negative, the clamped value max(raw, 0) is what bounds the capacity.
 """
 
-import contextlib
 import functools
 import math
 import sys
@@ -521,16 +520,16 @@ class BoundReport:
         }
 
 
-def _row_values(fam: BoundFamily, args) -> tuple:
-    """Each row of `fam` evaluated at `args`, in table order, as
-    (applies, raw), and the minimum raw over the applicable upper rows (inf
-    if none). It feeds the reports and the decomposition scan's direct
-    bounds; `_bound_columns` is the same loop on float64 columns, for the
-    figures."""
+def _row_values(fam: BoundFamily, args, rows=None) -> tuple:
+    """Each of `rows` (default: every row of `fam`) evaluated at `args`, in
+    table order, as (applies, raw), and the minimum raw over the applicable
+    upper rows (inf if none). It feeds the reports and, on the upper rows
+    alone, the decomposition scan's direct bounds; `_bound_columns` is the
+    same loop on float64 columns, for the figures."""
     fam.check(*args)
     values = []
     best = math.inf
-    for row in fam.rows:
+    for row in fam.rows if rows is None else rows:
         applies = row.applies is None or row.applies(*args)
         raw = row.formula(*args) if applies or row.defined_everywhere else math.nan
         values.append((applies, raw))
@@ -702,12 +701,11 @@ class DecompositionBound:
 
 
 def _direct_upper_bound(tau: float, y: float) -> float:
-    """Best (smallest) clamped upper bound on the phase-insensitive channel
-    (tau, y): its report's "combined", from the same row loop but without
-    building a report; inf for the identity, which carries no bound."""
+    """Smallest clamped upper bound on the channel (tau, y): its report's
+    "combined", from the upper rows alone; inf for the identity, which has none."""
     family, args = _family_of(tau, y)
     fam = FAMILIES.get(family)
-    return math.inf if fam is None else max(0.0, _row_values(fam, args)[1])
+    return math.inf if fam is None else max(0.0, _row_values(fam, args, fam.upper_rows)[1])
 
 
 _GOLDEN_TOL = 1e-6  # golden section stops at this bracket width over max(1, |a| + |b|)
@@ -738,9 +736,10 @@ def _stage_pair(target, gain, allocation):
 
 def _stages_bound(tau1: float, y1: float, tau2: float, y2: float) -> float:
     """The smaller of a candidate's two stage direct bounds; inf if a stage is off its domain."""
-    with contextlib.suppress(ParamDomainError):
+    try:
         return min(_direct_upper_bound(tau1, y1), _direct_upper_bound(tau2, y2))
-    return math.inf
+    except ParamDomainError:
+        return math.inf
 
 
 def golden_section_minimize(f, a: float, b: float):
@@ -797,28 +796,29 @@ def _branch_minimum(target, allocation, lo, hi) -> tuple:
     k, family = (2, "attenuator") if allocation == "min_noise_first" else (0, "amplifier")
     fam = FAMILIES[family]
 
-    @functools.cache
     def noisy(gain):
         """Checked parameters of the noisy stage, or None off its family or its domain."""
         stages = _stage_pair(target, gain, allocation)
         name, args = _family_of(*stages[k : k + 2]) if stages else ("", ())
-        with contextlib.suppress(ParamDomainError):
-            if name == family:
+        if name == family:
+            try:
                 fam.check(*args)
-                return args
+            except ParamDomainError:
+                return None
+            return args
 
-    def value(row, gain):
-        args = noisy(gain)
-        if args and (row.applies is None or row.applies(*args)):
-            return row.formula(*args), gain
-        return math.inf, gain
+    def value(row, args):
+        applies = args and (row.applies is None or row.applies(*args))
+        return row.formula(*args) if applies else math.inf
 
     best, row_best = min(whole(lo), whole(hi)), (math.inf, lo)
-    for row in fam.upper_rows if noisy(lo * _STEP) and noisy(hi / _STEP) else ():
-        probes = [value(row, g) for g in (lo * _STEP, lo * _STEP**2, hi / _STEP**2, hi / _STEP)]
+    gains = (lo * _STEP, lo * _STEP**2, hi / _STEP**2, hi / _STEP)
+    stage_args = [noisy(g) for g in gains]
+    for row in fam.upper_rows if stage_args[0] and stage_args[3] else ():
+        probes = [(value(row, args), g) for args, g in zip(stage_args, gains)]
         if probes[1][0] < probes[0][0] and probes[2][0] < probes[3][0]:
             x, fx = golden_section_minimize(
-                lambda lg: value(row, math.exp(lg))[0], math.log(lo), math.log(hi)
+                lambda lg: value(row, noisy(math.exp(lg))), math.log(lo), math.log(hi)
             )
             probes.append((fx, math.exp(x)))
         row_best = min(row_best, *probes)

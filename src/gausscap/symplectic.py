@@ -212,11 +212,24 @@ def entropy_from_cov(V: np.ndarray) -> float:
     return sum(bosonic_entropy(max(d, 1.0)) for d in symplectic_eigenvalues(V).tolist())
 
 
+def _thermal_variance(N: float, purified: bool = False) -> float:
+    """2N + 1, the quadrature variance of a thermal mode with photon number N.
+    An N that makes no finite covariance is rejected, named, before any array
+    is built: NaN, N < 0, an overflowing 2N + 1 and, for the purification, an
+    overflowing N(N + 1)."""
+    N = float(N)  # a numpy scalar would warn where the terms overflow
+    if not N >= 0.0:
+        raise ValueError(f"photon number must be nonnegative, got N={N}")
+    if not 2.0 * N + 1.0 < math.inf:
+        raise ValueError(f"photon number needs 2N + 1 finite, got N={N}")
+    if purified and not N * (N + 1.0) < math.inf:
+        raise ValueError(f"photon number needs N(N + 1) finite, got N={N}")
+    return 2.0 * N + 1.0
+
+
 def thermal_cov(N: float) -> np.ndarray:
     """Covariance (2N+1)*I2 of a single thermal mode with photon number N."""
-    if N < 0:
-        raise ValueError("photon number must be nonnegative")
-    return (2.0 * N + 1.0) * np.eye(2)
+    return _thermal_variance(N) * np.eye(2)
 
 
 def two_mode_squeezed_cov(N: float) -> np.ndarray:
@@ -226,9 +239,7 @@ def two_mode_squeezed_cov(N: float) -> np.ndarray:
     2*sqrt(N(N+1))*diag(1,-1); the state is pure, so both symplectic
     eigenvalues equal 1.
     """
-    if N < 0:
-        raise ValueError("photon number must be nonnegative")
-    d = 2.0 * N + 1.0
+    d = _thermal_variance(N, purified=True)
     c = 2.0 * math.sqrt(N * (N + 1.0))
     return np.array(
         [[d, 0.0, c, 0.0], [0.0, d, 0.0, -c], [c, 0.0, d, 0.0], [0.0, -c, 0.0, d]]

@@ -847,6 +847,87 @@ def test_combined_bound_pinned_edge_outputs(target, grid, value, kind, allocatio
     _assert_decomposition(result, value, kind, allocation, stages)
 
 
+# The scan's output bit for bit: value.hex(), witness kind and allocation,
+# and the stages' (tau, y) as hex. Any change to the scan's arithmetic or to
+# the order of its comparisons shows here.
+_FROZEN_SCANS = [
+    (_attenuator_target(0.893, 0.558), "0x1.d9606e94b8404p+0", "direct", "", None),
+    (_amplifier_target(1.317, 0.389), "0x1.0559e23233c5dp+0", "direct", "", None),
+    (PhaseInsensitiveParams(1.0, 0.5), "0x1.9323c5dbeb768p-1", "direct", "", None),  # additive
+    (_attenuator_target(0.546, 0.199), "0x0.0p+0", "direct", "", None),  # direct bound 0
+    # min_noise_first won without a golden search
+    (_attenuator_target(0.542, 0.051), "0x1.b8d8f2f7991f1p-4", "amplifier_first", "min_noise_first",
+     ("0x1.0b8788e5a71d7p+0", "0x1.70f11cb4e3ae0p-5", "0x1.098b71b8aa002p-1", "0x1.ece91c8eabffep-2")),
+    (_amplifier_target(2.669, 0.29), "0x1.7a161ea408685p-4", "amplifier_first", "min_noise_first",
+     ("0x1.4b0b6537a52a6p+2", "0x1.0b0b6537a52a6p+2", "0x1.082ff9fec690ap-1", "0x1.efa096850c068p-2")),
+    # min_noise_first at the minimum of a golden-searched attenuator row
+    (_attenuator_target(0.692, 0.355), "0x1.ecfad4d892e82p-2", "amplifier_first", "min_noise_first",
+     ("0x1.3008facc789b3p+0", "0x1.8047d663c4d98p-3", "0x1.2a53abd7d6105p-1", "0x1.ab5db24a2c6a3p-2")),
+    (_attenuator_target(0.683, 0.019), "0x1.0f70f4050722fp+0", "amplifier_first", "min_noise_first",
+     ("0x1.003d2f2604772p+0", "0x1.e9793023b9000p-11", "0x1.5d5ead26cfd4cp-1", "0x1.504a6f74785b3p-2")),
+    (_amplifier_target(1.344, 1.353), "0x1.99325aa8e1a02p-3", "amplifier_first", "min_noise_first",
+     ("0x1.79b7d4df535eep+0", "0x1.e6df537d4d7b8p-2", "0x1.d261b086edd8dp-1", "0x1.aefbe550fa012p-1")),
+    (_amplifier_target(6.402, 0.092), "0x1.1d295ff722434p-6", "amplifier_first", "min_noise_first",
+     ("0x1.583044cde9e25p+3", "0x1.383044cde9e25p+3", "0x1.30bf2ff753fc0p-1", "0x1.2da88fa1de7f0p-1")),
+    # min_noise_last at G = 1: additive noise, then the target's pure loss
+    (_attenuator_target(0.919, 3.836), "0x1.f64d546eb6047p-2", "amplifier_first", "min_noise_last",
+     ("0x1.0000000000000p+0", "0x1.5a377c44b352bp-1", "0x1.d6872b020c49cp-1", "0x1.4bc6a7ef9db20p-4")),
+    (_attenuator_target(0.862, 7.393), "0x0.0p+0", "amplifier_first", "min_noise_last",
+     ("0x1.0000000000000p+0", "0x1.2efe3088c62abp+1", "0x1.b95810624dd2fp-1", "0x1.1a9fbe76c8b44p-3")),
+]
+
+
+@pytest.mark.parametrize("target, value, kind, allocation, stages", _FROZEN_SCANS)
+def test_decomposition_scan_frozen_bits(target, value, kind, allocation, stages):
+    result = combined_decomposition_bound(target)
+    witness = result.witness
+    assert (result.value.hex(), witness.kind, witness.allocation) == (value, kind, allocation)
+    if stages is None:
+        assert witness.stage1 is None and witness.stage2 is None
+    else:
+        s1, s2 = witness.stage1, witness.stage2
+        assert tuple(x.hex() for x in (s1.tau, s1.y, s2.tau, s2.y)) == stages
+
+
+@pytest.mark.parametrize(
+    "target, error, message",
+    [
+        (PhaseInsensitiveParams(1.0, 0.0), InfeasibleDecompositionError,
+         "target admits no finite direct bound; is it the identity?"),
+        # an attenuator whose N = (y / (1 - eta) - 1) / 2 overflows
+        (PhaseInsensitiveParams(0.5, 0.5 + 9e307), ParamDomainError, "N must be finite, got inf"),
+    ],
+)
+def test_decomposition_scan_frozen_errors(target, error, message):
+    with pytest.raises(error) as info:
+        combined_decomposition_bound(target)
+    assert str(info.value) == message
+
+
+def test_stages_bound_off_domain_is_inf():
+    # The second stage is an attenuator whose N log2(eta) overflows: off its
+    # family's domain, so the candidate reads inf and the scan passes it by.
+    assert _stages_bound(2.0, 1.0, 1e-300, 1e308) == math.inf
+
+
+def test_direct_upper_bound_skips_the_lower_row(monkeypatch):
+    # At an attenuator with eta > 1/2 the upper rows call the entropy kernel
+    # 3 times (plob 1, extension 2); the report adds the lower row's 1.
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return bosonic_entropy(x)
+
+    monkeypatch.setattr("gausscap.bounds.bosonic_entropy", counted)
+    eta, N = 0.8, 0.5
+    _direct_upper_bound(eta, (1.0 - eta) * (2.0 * N + 1.0))
+    assert len(calls) == 3
+    calls.clear()
+    bounds_attenuator(eta, N)
+    assert len(calls) == 4
+
+
 _KINDS = ("amplifier_first", "amplifier_last")
 _ALLOCATIONS = ("min_noise_first", "min_noise_last")
 

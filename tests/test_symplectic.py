@@ -289,6 +289,35 @@ def test_cov_constructors_reject_out_of_domain(make, arg, match):
         make(arg)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "make, N, match",
+    [
+        (thermal_cov, math.nan, r"nonnegative, got N=nan"),
+        (thermal_cov, 1e308, r"2N \+ 1 finite, got N=1e\+308"),
+        (thermal_cov, math.inf, r"2N \+ 1 finite, got N=inf"),
+        (thermal_state, 1e308, r"2N \+ 1 finite, got N=1e\+308"),
+        (two_mode_squeezed_cov, math.nan, r"nonnegative, got N=nan"),
+        (two_mode_squeezed_cov, 1e200, r"N\(N \+ 1\) finite, got N=1e\+200"),
+        (two_mode_squeezed_state, 1e200, r"N\(N \+ 1\) finite, got N=1e\+200"),
+        (thermal_cov, np.float64(1e308), r"2N \+ 1 finite, got N=1e\+308"),
+    ],
+    ids=["thermal-nan", "thermal-1e308", "thermal-inf", "thermal_state-1e308", "tms-nan",
+         "tms-1e200", "tms_state-1e200", "thermal-numpy-1e308"],
+)
+def test_photon_number_without_a_finite_covariance_is_named(make, N, match):
+    # Rejected before any array is built, so no overflow warning and no
+    # inf or NaN entry reaches the state's own finiteness check.
+    with pytest.raises(ValueError, match=match):
+        make(N)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_photon_number_near_the_overflow_stays_finite():
+    assert np.isfinite(thermal_cov(1e300)).all()
+    assert np.isfinite(two_mode_squeezed_cov(1e150)).all()
+
+
 @pytest.mark.parametrize(
     "mean, cov, error, match",
     [
