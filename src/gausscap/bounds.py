@@ -194,12 +194,13 @@ def _column_forms() -> dict:
     does the + - * /, which round as on floats, and each log2, log1p and
     hypot is the `math` call mapped over the elements, so every element is
     bit-identical to the scalar closed form. (numpy's log2, log1p and hypot
-    differ from `math` in the last bit at some points.)"""
+    differ from `math` in the last bit at some points.) A memoryview hands
+    `math` one float at a time, so no column becomes a list of floats."""
 
     def mapped(f):
         def column(*cols):
-            cols = np.broadcast_arrays(*cols)
-            return np.fromiter(map(f, *(c.tolist() for c in cols)), float, cols[0].size)
+            cols = np.broadcast_arrays(*cols) if len(cols) > 1 else cols
+            return np.fromiter(map(f, *map(memoryview, cols)), float, cols[0].size)
 
         return column
 
@@ -553,15 +554,20 @@ def _bound_columns(family: str, *params) -> dict:
         for row in fam.rows:
             applies = everywhere if row.applies is None else row.applies(*cols)
             live = everywhere if row.defined_everywhere else applies
-            raw = np.full(n, math.nan)
             # A scalar parameter stays 0-d, so a term in it alone, h(2N + 1), runs once.
-            raw[live] = forms[row.formula.__name__](*(p[live] if p.ndim else p for p in params))
+            formula = forms[row.formula.__name__]
+            if live.all():  # no copy of the live points, no masked store
+                raw = formula(*params)
+            else:
+                raw = np.full(n, math.nan)
+                raw[live] = formula(*(p[live] if p.ndim else p for p in params))
             values[row.name] = applies, raw
             if row is not fam.lower:
                 best = np.where(applies & (raw < best), raw, best)
     values["combined"] = everywhere, best
-    # max(raw, 0.0) as on floats, where -0.0 and NaN stay
-    return {name: (keep, np.where(raw < 0.0, 0.0, raw)) for name, (keep, raw) in values.items()}
+    for _, raw in values.values():  # max(raw, 0.0) as on floats, where -0.0 and NaN stay
+        raw[raw < 0.0] = 0.0
+    return values
 
 
 def bounds_report(family: str, **params) -> BoundReport:

@@ -4,20 +4,22 @@ Each builder sweeps one channel family over a parameter grid and tabulates
 the bound values, one column per row of the family's bound table; the
 attenuator figures report upper bounds as ratios to the lower bound, which is
 the shape the comparisons are usually plotted in.
-Series serialize to diff-friendly CSV: '#' metadata lines, a header row and
-12 significant digits.
 
 The rows run on whole float64 columns (`bounds._bound_columns`), and every
 cell is bit-identical to the report at that point: numpy does only the
 + - * /, which round as on floats, and each log2, log1p and hypot is the
 scalar row's `math` call mapped over the column (numpy's own differ from
-`math` in the last bit at some points).
+`math` in the last bit at some points). A series keeps each column as float64
+values plus an applicability mask; only its list accessors (`x_values`,
+`columns`, `column`) build Python floats and None. `write_csv` writes
+diff-friendly CSV ('#' metadata lines, a header row, 12 significant digits)
+in fixed blocks of `_CSV_BLOCK_ROWS` rows, so beyond the series itself its
+memory is one block's floats and text, whatever the number of rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ._np import np
 
@@ -37,46 +39,61 @@ __all__ = [
     "write_csv",
 ]
 
-@dataclass(frozen=True)
+_CSV_BLOCK_ROWS = 65536  # rows per formatted block: write_csv's text never holds more
+
+
 class FigureSeries:
     """One figure's worth of columns on a common grid.
 
-    Column cells are floats or None; None marks an inapplicable entry and
-    serializes to an empty CSV cell.
+    `x` is the grid as a float64 array, and `table` maps each column name to
+    `(keep, values)`: a boolean applicability mask and float64 values, NaN
+    wherever `keep` is False. The constructor takes a column as such a pair,
+    as the builders make it, or as a list of floats and None (None: the cell
+    does not apply). `x_values`, `columns` and `column(name)` build lists on
+    each access: floats, and None where a cell does not apply.
     """
 
-    figure_id: str
-    x_name: str
-    x_values: list
-    columns: dict
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, figure_id: str, x_name: str, x_values, columns: dict, metadata=None):
+        self.figure_id, self.x_name, self.metadata = figure_id, x_name, metadata or {}
+        self.x, self.table = np.asarray(x_values, dtype=float), {}
+        for name, col in columns.items():
+            keep, values = col if isinstance(col, tuple) else (
+                np.array([v is not None for v in col], dtype=bool), np.array(col, dtype=float))
+            if len(values) != len(self.x):
+                raise ValueError(f"column {name!r} has {len(values)} cells for "
+                                 f"{len(self.x)} grid points")
+            self.table[name] = keep, np.where(keep, values, math.nan)
 
-    def __post_init__(self):
-        for name, col in self.columns.items():
-            if len(col) != len(self.x_values):
-                raise ValueError(
-                    f"column {name!r} has {len(col)} cells for "
-                    f"{len(self.x_values)} grid points"
-                )
+    @property
+    def x_values(self) -> list:
+        return self.x.tolist()
+
+    @property
+    def columns(self) -> dict:
+        return {name: self.column(name) for name in self.table}
 
     def column(self, name: str) -> list:
-        return self.columns[name]
+        keep, values = self.table[name]
+        return np.where(keep, values, None).tolist()
 
 
 def write_csv(series: FigureSeries, path) -> None:
     """Write the series as UTF-8 CSV with leading '#' metadata lines; each
-    cell has 12 significant digits (`format(v, ".12g")`), and None and NaN
-    are empty."""
+    cell has 12 significant digits (`format(v, ".12g")`), and inapplicable
+    and NaN cells are empty. Rows are formatted and written `_CSV_BLOCK_ROWS`
+    at a time, so the memory the text takes does not grow with the table."""
     lines = [f"# figure: {series.figure_id}", f"# generator: gausscap {__version__}"]
     for key, value in series.metadata.items():
         lines.append(f"# {key}: {value}")
-    lines.append(",".join([series.x_name] + list(series.columns)))
-    columns = [series.x_values, *series.columns.values()]
-    cells = tuple(np.array(columns, dtype=float).T.ravel().tolist())  # None becomes NaN
-    table = (",".join(["%.12g"] * len(columns)) + "\n") * len(series.x_values) % cells
+    lines.append(",".join([series.x_name, *series.table]))
+    columns = [series.x, *(values for _, values in series.table.values())]
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-        fh.write(table.replace("nan", ""))  # "%.12g" % NaN is "nan"
+        for start in range(0, len(series.x), _CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start:start + _CSV_BLOCK_ROWS] for c in columns])
+            text = row * len(block) % tuple(block.ravel().tolist())
+            fh.write(text.replace("nan", ""))  # "%.12g" % NaN is "nan"
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -89,33 +106,22 @@ def _grid(lo: float, hi: float, step: float) -> np.ndarray:
     return lo + step * np.arange(math.floor(steps) + 1)
 
 
-def _cells(columns: dict) -> dict:
-    """FigureSeries columns from (applies, values) column pairs: floats, None
-    where the row does not apply."""
-    return {name: np.where(keep, values, None).tolist() for name, (keep, values) in columns.items()}
-
-
 def fig1_series(x_min: float = 0.02, x_max: float = 0.7, step: float = 0.005):
     """Additive Gaussian noise bounds against inverse beta (noise variance)."""
     if not (x_min > 0.0 and 1.0 / x_min < math.inf):  # beta = 1 / x_min
         raise _domain_error("x_min > 0 with a finite 1/x_min", x_min=x_min)
     xs = _grid(x_min, x_max, step)
-    columns = _cells(_bound_columns("additive", 1.0 / xs))
     meta = {
         "x": "inverse beta (added noise variance / 2)",
         "grid": f"[{x_min:g}, {x_max:g}] step {step:g}",
         "values": "clamped bound values in bits",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries("fig1", "inverse_beta", xs.tolist(), columns, meta)
+    return FigureSeries("fig1", "inverse_beta", xs, _bound_columns("additive", 1.0 / xs), meta)
 
 
-def fig2_series(
-    N: float = 10.0,
-    g_offset_min: float = 1e-3,
-    g_max: float = 1.2,
-    points: int = 200,
-):
+def fig2_series(N: float = 10.0, g_offset_min: float = 1e-3, g_max: float = 1.2,
+                points: int = 200):
     """Thermal amplifier bounds against the gain, log-spaced in gain - 1."""
     if not 1.0 < 1.0 + g_offset_min < math.inf:  # the first gain, 1 + g_offset_min
         raise _domain_error("1 + g_offset_min > 1", g_offset_min=g_offset_min)
@@ -124,16 +130,14 @@ def fig2_series(
     if not 2 <= points <= MAX_GRID_POINTS or g_max <= 1.0 + g_offset_min:
         raise ParamDomainError(f"need 2 <= points <= {MAX_GRID_POINTS}, g_max > 1 + g_offset_min")
     gains = 1.0 + np.geomspace(g_offset_min, g_max - 1.0, points)
-    columns = _cells(_bound_columns("amplifier", gains, N))
     meta = {
         "x": "amplifier gain",
         "N": f"{N:g}",
-        "grid": f"gain - 1 log-spaced in [{g_offset_min:g}, {g_max - 1:g}], "
-        f"{points} points",
+        "grid": f"gain - 1 log-spaced in [{g_offset_min:g}, {g_max - 1:g}], {points} points",
         "values": "clamped bound values in bits",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries("fig2", "gain", gains.tolist(), columns, meta)
+    return FigureSeries("fig2", "gain", gains, _bound_columns("amplifier", gains, N), meta)
 
 
 def _attenuator_series(figure_id, N, eta_min, eta_max, step, decomposed=False):
@@ -151,10 +155,9 @@ def _attenuator_series(figure_id, N, eta_min, eta_max, step, decomposed=False):
             ).value if ok else math.nan
             for eta, ok in zip(etas.tolist(), positive.tolist())
         ])
-    for name in list(columns)[1:]:  # every column but "lower", as a ratio to it
-        applies, values = columns[name]
-        ratio = np.divide(values, low, out=np.full(low.shape, math.nan), where=applies & positive)
-        columns[name] = applies & positive, ratio
+    for name, (applies, values) in list(columns.items())[1:]:  # each upper row, as a ratio
+        keep = applies & positive
+        columns[name] = keep, np.divide(values, low, out=np.full_like(low, math.nan), where=keep)
     meta = {
         "x": "attenuator transmissivity",
         "N": f"{N:g}",
@@ -164,43 +167,29 @@ def _attenuator_series(figure_id, N, eta_min, eta_max, step, decomposed=False):
         "bound, empty where the lower bound vanishes",
         "seed": "not used (deterministic sweep)",
     }
-    return FigureSeries(figure_id, "transmissivity", etas.tolist(), _cells(columns), meta)
+    return FigureSeries(figure_id, "transmissivity", etas, columns, meta)
 
 
-def fig3_series(
-    N: float = 0.05,
-    eta_min: float = 0.55,
-    eta_max: float = 0.995,
-    step: float = 0.0025,
-):
+def fig3_series(N: float = 0.05, eta_min: float = 0.55, eta_max: float = 0.995,
+                step: float = 0.0025):
     """Thermal attenuator upper bounds as ratios to the lower bound."""
     return _attenuator_series("fig3", N, eta_min, eta_max, step)
 
 
-def fig3_inset_series(
-    N: float = 0.05,
-    eta_min: float = 0.60,
-    eta_max: float = 0.80,
-    step: float = 0.0025,
-):
+def fig3_inset_series(N: float = 0.05, eta_min: float = 0.60, eta_max: float = 0.80,
+                      step: float = 0.0025):
     """Close-up of the attenuator figure around the bound crossing, with the
     decomposition-combined bound (`combined_decomposition_bound`) added."""
     return _attenuator_series("fig3-inset", N, eta_min, eta_max, step, decomposed=True)
 
 
-_BUILDERS = {
-    "fig1": fig1_series,
-    "fig2": fig2_series,
-    "fig3": fig3_series,
-    "fig3-inset": fig3_inset_series,
-}
+_BUILDERS = {"fig1": fig1_series, "fig2": fig2_series, "fig3": fig3_series,
+             "fig3-inset": fig3_inset_series}
 FIGURE_IDS = tuple(_BUILDERS)
 
 
 def build_figure(figure_id: str, **overrides) -> FigureSeries:
     """Build a figure series by id, passing through any grid overrides."""
     if figure_id not in _BUILDERS:
-        raise ParamDomainError(
-            f"unknown figure {figure_id!r}; choose from {FIGURE_IDS}"
-        )
+        raise ParamDomainError(f"unknown figure {figure_id!r}; choose from {FIGURE_IDS}")
     return _BUILDERS[figure_id](**overrides)

@@ -106,7 +106,8 @@ def reference_flagged_thermal_cov(beta: float, M: float) -> np.ndarray:
 def check_extended_attenuator_degradability(eta: float, N: float) -> CheckOutcome:
     """The complement of the two-mode attenuator extension factors through
     the extension itself: composing with the (1-eta)/eta member reproduces
-    the 1-eta member. Holds for eta > 1/2, where (1-eta)/eta <= 1."""
+    the 1-eta member. Holds for eta > 1/2, where (1-eta)/eta <= 1. The residual
+    and the degrading stage's CP defect get CHECK_EXACT_TOL x max(1, |X|, |Y|)."""
     name = f"extended_attenuator_degradability(eta={eta:g}, N={N:g})"
     if eta <= 0.5:
         details = "degrading parameter (1-eta)/eta exceeds 1; outside the degradability regime"
@@ -115,15 +116,16 @@ def check_extended_attenuator_degradability(eta: float, N: float) -> CheckOutcom
     degrading = extended_attenuator_pair((1 - eta) / eta, N)
     target = extended_attenuator_pair(1 - eta, N)
     chained = compose(degrading, forward)
-    residual = max(
-        np.abs(chained.X - target.X).max(), np.abs(chained.Y - target.Y).max()
-    )
+    pairs = ((chained.X, target.X), (chained.Y, target.Y))
+    residual = max(np.abs(a - b).max() for a, b in pairs)
+    tol = CHECK_EXACT_TOL * max(1.0, *(np.abs(m).max() for pair in pairs for m in pair))
+    defect = degrading.cp_defect()
     details = (
-        f"degrading stage CP defect {degrading.cp_defect():.3e}; "
+        f"degrading stage CP defect {defect:.3e}; "
         f"(X, Y) residual against the complement {residual:.3e}"
     )
-    passed = bool(residual <= CHECK_EXACT_TOL)
-    return CheckOutcome(name, passed, float(residual), CHECK_EXACT_TOL, 1, details)
+    passed = bool(residual <= tol and defect >= -tol)
+    return CheckOutcome(name, passed, float(residual), float(tol), 1, details)
 
 
 def _flag_overlap(gamma: float, bra, flag, beta):

@@ -1,11 +1,16 @@
 import hashlib
 import math
 import re
+import struct
+import tempfile
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gausscap
+from gausscap import figures
 from gausscap.bounds import bounds_report, combined_decomposition_bound
 from gausscap.channels import ParamDomainError, PhaseInsensitiveParams
 from gausscap.cli import main
@@ -152,6 +157,51 @@ def test_write_csv_cells_are_12_significant_digits(tmp_path):
         return "" if v is None or v != v else format(v, ".12g")
 
     assert lines[4:] == [",".join(map(cell, row)) for row in zip(xs, values, values[::-1])]
+
+
+_FLOAT_CELLS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2e-308, -1e-300, 1e300]),
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 13), st.integers(1, 3), st.data())
+def test_write_csv_blocks_match_the_per_cell_reference(rows, width, data):
+    # blocks of 4 rows, so 0 to 13 rows end inside, on and past block edges
+    xs = data.draw(st.lists(_FLOAT_CELLS, min_size=rows, max_size=rows))
+    cols = [data.draw(st.lists(st.none() | _FLOAT_CELLS, min_size=rows, max_size=rows))
+            for _ in range(width)]
+    series = FigureSeries("t", "x", xs, {f"c{i}": col for i, col in enumerate(cols)})
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(figures, "_CSV_BLOCK_ROWS", 4)
+        write_csv(series, f"{tmp}/t.csv")
+        with open(f"{tmp}/t.csv", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+
+    def cell(v):
+        return "" if v is None or v != v else format(v, ".12g")
+
+    assert lines[2:] == [",".join(["x", *series.table])] + [
+        ",".join(map(cell, row)) for row in zip(xs, *cols)
+    ]
+
+
+def test_write_csv_memory_does_not_grow_with_the_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(figures, "_CSV_BLOCK_ROWS", 2048)
+
+    def peak(rows):
+        xs = np.linspace(0.1, 1.0, rows)
+        series = FigureSeries("t", "x", xs, {c: (xs > 0.5, xs * k) for k, c in enumerate("abcd")})
+        tracemalloc.start()
+        try:
+            write_csv(series, tmp_path / "t.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4 * 2048) <= 1.5 * peak(2048)
 
 
 # SHA-256 of `gausscap figure <id>` at default arguments, generator line

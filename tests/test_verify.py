@@ -33,7 +33,9 @@ def test_suite_outcomes_frozen(gamma, flag_passes):
     expected = [
         ("classical_mixing_representation(beta=1, M=2)", True, True, 1e-12, 1),
         ("classical_mixing_representation(beta=2, M=1)", True, True, 1e-12, 1),
-        ("extended_attenuator_degradability(eta=0.51, N=2)", True, True, 1e-12, 1),
+        # 1e-12 x the largest compared entry, (1 - 0.51)(2N + 1) + ... = 2.55
+        ("extended_attenuator_degradability(eta=0.51, N=2)", True, True,
+         pytest.approx(2.55e-12, rel=1e-12), 1),
         ("extended_attenuator_degradability(eta=0.8, N=0.05)", True, True, 1e-12, 1),
         (f"flag_condition(gamma={gamma:g}, beta~U[0.25,4])", flag_passes, True, 1e-12, 1000),
         ("gauge_covariance(extended_attenuator)", True, True, 1e-10, 20),
@@ -78,6 +80,31 @@ def test_degradability_random_parameters():
         N = rng.uniform(0.0, 3.0)
         outcome = check_extended_attenuator_degradability(eta, N)
         assert outcome.passed, outcome.details
+
+
+# Residuals of a correct structure that pass 1e-12 absolute; the tolerance
+# scales with the largest compared entry, which grows like N.
+_LARGE_N_POINTS = [(0.6, 1e4), (0.99, 1e4), (0.99, 1e6), (0.6, 1e10), (0.6, 1e8)]
+
+
+@pytest.mark.parametrize("eta, N", _LARGE_N_POINTS)
+def test_degradability_check_is_scale_aware(eta, N):
+    outcome = check_extended_attenuator_degradability(eta, N)
+    assert outcome.passed, outcome.details
+    assert outcome.tolerance > 1e-12
+
+
+@pytest.mark.parametrize("eta, N", _LARGE_N_POINTS + [(0.8, 0.05), (0.51, 2.0)])
+def test_degradability_check_fails_a_broken_structure(monkeypatch, eta, N):
+    pair = verify.extended_attenuator_pair
+
+    def scaled_degrading(e, n):  # the (1 - eta)/eta stage, scaled by 1 + 1e-6
+        return pair(e * (1.0 + 1e-6) if e == (1.0 - eta) / eta else e, n)
+
+    monkeypatch.setattr(verify, "extended_attenuator_pair", scaled_degrading)
+    outcome = check_extended_attenuator_degradability(eta, N)
+    assert not outcome.passed, outcome.details
+    assert outcome.max_residual > 1e3 * outcome.tolerance
 
 
 def test_flag_condition_gamma_one_passes():
