@@ -847,10 +847,18 @@ def combined_decomposition_bound(
     Attenuator-first splits are not searched: on 20,000 random targets they
     never gave a smaller value (a census, not a proof), though they can where
     the G = 1 noise (y - 1 + tau) / tau overflows. `grid` is validated but unused.
+    A target with tau >= 1, where a scan gains nothing past rounding (README),
+    returns its own family's "combined", its family read from the exact tau.
     """
     if not 2 <= grid <= MAX_GRID_POINTS:
         raise ParamDomainError(f"need 2 <= grid <= {MAX_GRID_POINTS}, got {grid}")
-    direct = _direct_upper_bound(target.tau, target.y)
+    tau, y = target.tau, target.y
+    if tau > 1.0 or tau == 1.0 and y > 0.0:  # own family's rows, by exact tau: no snap
+        fam, args = (FAMILIES["additive"], (2.0 / y,)) if tau == 1.0 else (
+            FAMILIES["amplifier"], (tau, max(0.0, (y / (tau - 1.0) - 1.0) / 2.0)))
+        value = max(0.0, _row_values(fam, args, fam.upper_rows)[1])
+        return DecompositionBound(value, DecompositionWitness("direct"))
+    direct = _direct_upper_bound(tau, y) if tau < 1.0 else math.inf  # (1, y <= 0): identity
     if not math.isfinite(direct):
         raise InfeasibleDecompositionError(
             "target admits no finite direct bound; is it the identity?"

@@ -77,7 +77,7 @@ class CheckOutcome:
             status = "N/A "
         return (
             f"{status}  {self.name:<40s} residual {self.max_residual:9.3e}"
-            f"  (tol {self.tolerance:.0e}, {self.samples} samples)"
+            f"  (tol {self.tolerance:.3g}, {self.samples} samples)"
         )
 
 

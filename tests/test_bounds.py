@@ -789,11 +789,15 @@ _PINNED_DECOMPOSITIONS = [
      (1.0, 4.666666666666666, 0.3, 0.7)),
     (_amplifier_target(1.05, 0.01), 4.312083908253085, "direct", "", None),
     (_amplifier_target(1.5, 0.1), 1.1600120651796073, "direct", "", None),
-    (_amplifier_target(1.6, 0.8), 0.11547721741993469, "amplifier_first", "min_noise_first",
-     (3.076920000001539, 2.076920000001539, 0.5200005200002599, 0.48000052000026017)),
+    # tau >= 1 reads the target's own rows: log2(0.52 / 0.48) up to rounding
+    (_amplifier_target(1.6, 0.8), 0.11547721741993558, "direct", "", None),
     (_attenuator_target(0.8, 0.0), 2.0000000000000004, "direct", "", None),  # pure loss
     # zero capacity: the direct bound is already 0
     (_amplifier_target(2.0, 1.0), 0.0, "direct", "", None),
+    # g - 1 within ISO_TOL of 0: the report's combined, where a snap to
+    # additive noise raised (y <= ISO_TOL) or read 6e-6 bits below it
+    (_amplifier_target(1.0 + 1e-12, 0.5), 38.4855651368402, "direct", "", None),
+    (_amplifier_target(1.0 + 1e-11, 100.0), 28.447468145390193, "direct", "", None),
 ]
 
 
@@ -834,8 +838,7 @@ _PINNED_EDGE_DECOMPOSITIONS = [
     (PhaseInsensitiveParams(0.7, 1.7 - 1e-13), 200, 0.0, "direct", "", None),
     (_attenuator_target(0.69, 0.05), 2, 1.0446881690278007, "amplifier_first", "min_noise_first",
      (1.0155563298919699, 0.015556329891969867, 0.6794305541607908, 0.3304305541607909)),
-    (_amplifier_target(1.6, 0.8), 2, 0.115477217419935, "amplifier_first", "min_noise_first",
-     (3.076920000001539, 2.076920000001539, 0.5200005200002599, 0.48000052000026017)),
+    (_amplifier_target(1.6, 0.8), 2, 0.11547721741993558, "direct", "", None),
 ]
 
 
@@ -858,17 +861,16 @@ _FROZEN_SCANS = [
     # min_noise_first won without a golden search
     (_attenuator_target(0.542, 0.051), "0x1.b8d8f2f7991f1p-4", "amplifier_first", "min_noise_first",
      ("0x1.0b8788e5a71d7p+0", "0x1.70f11cb4e3ae0p-5", "0x1.098b71b8aa002p-1", "0x1.ece91c8eabffep-2")),
-    (_amplifier_target(2.669, 0.29), "0x1.7a161ea408685p-4", "amplifier_first", "min_noise_first",
-     ("0x1.4b0b6537a52a6p+2", "0x1.0b0b6537a52a6p+2", "0x1.082ff9fec690ap-1", "0x1.efa096850c068p-2")),
+    # once min_noise_first, up to 1.5e-13 relative lower; tau >= 1 reads its own rows
+    (_amplifier_target(2.669, 0.29), "0x1.7a161ea4086c6p-4", "direct", "", None),
     # min_noise_first at the minimum of a golden-searched attenuator row
     (_attenuator_target(0.692, 0.355), "0x1.ecfad4d892e82p-2", "amplifier_first", "min_noise_first",
      ("0x1.3008facc789b3p+0", "0x1.8047d663c4d98p-3", "0x1.2a53abd7d6105p-1", "0x1.ab5db24a2c6a3p-2")),
     (_attenuator_target(0.683, 0.019), "0x1.0f70f4050722fp+0", "amplifier_first", "min_noise_first",
      ("0x1.003d2f2604772p+0", "0x1.e9793023b9000p-11", "0x1.5d5ead26cfd4cp-1", "0x1.504a6f74785b3p-2")),
-    (_amplifier_target(1.344, 1.353), "0x1.99325aa8e1a02p-3", "amplifier_first", "min_noise_first",
-     ("0x1.79b7d4df535eep+0", "0x1.e6df537d4d7b8p-2", "0x1.d261b086edd8dp-1", "0x1.aefbe550fa012p-1")),
-    (_amplifier_target(6.402, 0.092), "0x1.1d295ff722434p-6", "amplifier_first", "min_noise_first",
-     ("0x1.583044cde9e25p+3", "0x1.383044cde9e25p+3", "0x1.30bf2ff753fc0p-1", "0x1.2da88fa1de7f0p-1")),
+    # once min_noise_first, up to 1.5e-13 relative lower; tau >= 1 reads its own rows
+    (_amplifier_target(1.344, 1.353), "0x1.99325aa8e1a20p-3", "direct", "", None),
+    (_amplifier_target(6.402, 0.092), "0x1.1d295ff72270ep-6", "direct", "", None),
     # min_noise_last at G = 1: additive noise, then the target's pure loss
     (_attenuator_target(0.919, 3.836), "0x1.f64d546eb6047p-2", "amplifier_first", "min_noise_last",
      ("0x1.0000000000000p+0", "0x1.5a377c44b352bp-1", "0x1.d6872b020c49cp-1", "0x1.4bc6a7ef9db20p-4")),
@@ -1079,10 +1081,20 @@ def _assert_composes(witness, target):
         assert composed.y == pytest.approx(target.y, rel=1e-12, abs=1e-12)
 
 
-def _scan_target(point):
+def _exact_family(tau, y):
+    """`_family_of` with tau classified exactly, as the scan reads tau >= 1:
+    tau == 1 is additive noise (the identity at y == 0), tau > 1 an amplifier."""
+    if tau == 1.0:
+        return ("additive", (2.0 / y,)) if y > 0.0 else ("identity", ())
+    if tau > 1.0:
+        return "amplifier", (tau, max(0.0, (y / (tau - 1.0) - 1.0) / 2.0))
+    return _family_of(tau, y)
+
+
+def _scan_target(point, classify=_family_of):
     """The target at `point` and its report's combined, or None where the
     point is the identity or outside its family's domain."""
-    family, args = _family_of(*point)
+    family, args = classify(*point)
     if family == "identity":
         return None
     try:
@@ -1098,8 +1110,9 @@ def _scan_target(point):
 @example((5e-324, 3.0))  # tau / G underflows to 0
 def test_decomposition_scan_computes_wherever_the_report_does(point):
     # A candidate with a stage outside its family's domain reads inf, as a
-    # split that is not CP does; it never makes the scan raise.
-    checked = _scan_target(point)
+    # split that is not CP does; it never makes the scan raise. A target with
+    # tau >= 1 reads its own family's rows, with tau classified exactly.
+    checked = _scan_target(point, _exact_family if point[0] >= 1.0 else _family_of)
     if checked is None:
         return
     target, combined = checked
@@ -1122,6 +1135,62 @@ def test_decomposition_scan_not_above_the_two_order_reference(point):
     if checked is not None and (point[1] - 1.0 + point[0]) / point[0] < math.inf:
         value = combined_decomposition_bound(checked[0]).value
         assert value <= _dense_decomposition(checked[0], points=50) + 1e-9
+
+
+_ADDITIVE = st.floats(-300.0, 300.0).map(lambda e: (1.0, 2.0 / 10.0**e))  # y = 2/beta
+
+
+@given(st.one_of(st.builds(_amplifier_point, st.floats(-16.0, 6.0), _PHOTONS), _ADDITIVE))
+@example((1.0 + 1e-12, 1e-12 * 2.0))  # a snap to tau = 1 read the identity here
+@example((1.0 + 1e-11, 1e-11 * 201.0))  # and additive noise 6e-6 bits below the report
+@example((1.0 + 1e6, 1e6 * (2.0 * 1e300 + 1.0)))  # 2N + 1 is finite, y / (tau - 1) overflows
+def test_decomposition_scan_at_tau_one_and_above_is_the_own_report(point):
+    # At tau >= 1 the scan returns the report's combined of the target's own
+    # family, tau classified exactly, bit for bit, or raises its domain error.
+    tau, y = point
+    if not math.isfinite(y):
+        return  # no such target
+    target = PhaseInsensitiveParams(tau, y)
+    family, args = _exact_family(tau, y)
+    try:
+        expected = bounds_report(family, **dict(zip(FAMILIES[family].params, args))).combined
+    except ParamDomainError as exc:
+        with pytest.raises(ParamDomainError, match=re.escape(str(exc))):
+            combined_decomposition_bound(target)
+        return
+    result = combined_decomposition_bound(target)
+    assert (result.value, result.witness) == (expected, DecompositionWitness("direct"))
+
+
+@given(st.floats(-16.0, 6.0))
+@example(math.log10(1.24e-10))  # a snap to tau = 1 read 2.6e-6 bits below the capacity
+@example(-12.0)  # and the identity here
+def test_decomposition_scan_not_below_the_quantum_limited_amplifier_capacity(log_excess):
+    # The quantum-limited amplifier's capacity is its lower bound
+    # log2(g / (g - 1)) (Wolf, Perez-Garcia & Giedke, PRL 98, 130501 (2007)):
+    # no upper bound may read below it.
+    g = 1.0 + 10.0**log_excess
+    if g == 1.0:
+        return  # the identity
+    lower = bounds_amplifier(g, 0.0).lower.raw
+    value = combined_decomposition_bound(PhaseInsensitiveParams(g, g - 1.0)).value
+    assert value >= lower - 1e-12 * max(1.0, lower)
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.builds(_amplifier_point, st.floats(-9.0, 6.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e)),
+    _ADDITIVE,
+))
+def test_two_stage_splits_gain_nothing_at_tau_one_and_above(point):
+    # The census behind reading tau >= 1 from the own rows: no candidate of
+    # the dense two-order scan beats the target's direct bound by more than
+    # rounding. Points within ISO_TOL of tau = 1 are left out, since the
+    # reference reads them through `_family_of`'s snap.
+    checked = _scan_target(point)
+    if checked is not None:
+        value = combined_decomposition_bound(checked[0]).value
+        assert _dense_decomposition(checked[0], points=400) >= value - 1e-12 * max(1.0, value)
 
 
 def test_decomposition_scan_reaches_the_first_gain():

@@ -277,8 +277,13 @@ def test_outcome_summary_line_format():
     outcome = check_flag_condition()
     line = outcome.summary_line()
     assert "PASS" in line and "flag_condition" in line
+    assert "(tol 1e-12, 1000 samples)" in line
     na = check_extended_attenuator_degradability(0.3, 0.1)
     assert na.summary_line().startswith("N/A")
+    # a tolerance scaled to the channel prints its three digits, not one
+    scaled = check_extended_attenuator_degradability(0.51, 2.0)
+    assert scaled.tolerance == pytest.approx(2.55e-12, rel=1e-12)
+    assert "(tol 2.55e-12, 1 samples)" in scaled.summary_line()
 
 
 def test_seed_changes_samples_not_verdict():
