@@ -28,7 +28,6 @@ from .channels import (
 )
 from ._np import np
 from .symplectic import (
-    CP_SLACK,
     LN2,
     _physical,
     bosonic_entropy,
@@ -720,23 +719,21 @@ _GOLDEN_MAX_ITER = 200
 
 def _stage_pair(target, gain, allocation):
     """Stages (tau1, y1, tau2, y2) of one decomposition candidate, amplifier G
-    then attenuator tau / G, or None where a stage breaks PhaseInsensitiveParams'
-    rule: tau / G is 0, the split is not CP, or the first stage's noise overflows."""
+    then attenuator tau / G, or None where a stage breaks complete positivity
+    exactly (its noise below |1 - tau|, with no slack), where tau / G is 0, or
+    where the first stage's noise overflows. A split that passes composes to
+    the target's (tau, y) up to rounding, never to a noisier channel."""
     tau1, tau2 = gain, target.tau / gain
     if tau2 == 0.0:
         return None
     if allocation == "min_noise_first":
         y1 = abs(1.0 - tau1)
         y2 = target.y - tau2 * y1
-        if y2 < abs(1.0 - tau2) - CP_SLACK:
-            return None
-        y2 = max(y2, abs(1.0 - tau2))
     else:
         y2 = abs(1.0 - tau2)
         y1 = (target.y - y2) / tau2
-        if not abs(1.0 - tau1) - CP_SLACK <= y1 < math.inf:
-            return None
-        y1 = max(y1, abs(1.0 - tau1))
+    if not (abs(1.0 - tau1) <= y1 < math.inf and abs(1.0 - tau2) <= y2):
+        return None
     return tau1, y1, tau2, y2
 
 
@@ -772,7 +769,8 @@ def golden_section_minimize(f, a: float, b: float):
 def _gain_interval(target: PhaseInsensitiveParams) -> tuple:
     """Gains [max(1, tau), G_max] with a CP stage pair in both allocations
     (`_stage_pair`'s rule solved for G): G <= 2 tau / (1 + tau - y), or any G
-    if 1 + tau <= y; G_max is capped at DECOMPOSITION_GAIN_MAX times the start."""
+    if 1 + tau <= y; G_max is capped at DECOMPOSITION_GAIN_MAX times the start.
+    Rounding can put G_max a few ulps past the CP limit, where that end reads inf."""
     start = max(1.0, target.tau)
     excess = 1.0 + target.tau - target.y
     end = 2.0 * target.tau / excess if excess > 0.0 else math.inf
@@ -847,25 +845,20 @@ def combined_decomposition_bound(
     Attenuator-first splits are not searched: on 20,000 random targets they
     never gave a smaller value (a census, not a proof), though they can where
     the G = 1 noise (y - 1 + tau) / tau overflows. `grid` is validated but unused.
-    A target with tau >= 1, where a scan gains nothing past rounding (README),
-    returns its own family's "combined", its family read from the exact tau.
+    The target and every stage read their family from the exact tau
+    (`_family_of`). A target with tau >= 1, where a scan gains nothing past
+    rounding (README), returns its own family's "combined".
     """
     if not 2 <= grid <= MAX_GRID_POINTS:
         raise ParamDomainError(f"need 2 <= grid <= {MAX_GRID_POINTS}, got {grid}")
-    tau, y = target.tau, target.y
-    if tau > 1.0 or tau == 1.0 and y > 0.0:  # own family's rows, by exact tau: no snap
-        fam, args = (FAMILIES["additive"], (2.0 / y,)) if tau == 1.0 else (
-            FAMILIES["amplifier"], (tau, max(0.0, (y / (tau - 1.0) - 1.0) / 2.0)))
-        value = max(0.0, _row_values(fam, args, fam.upper_rows)[1])
-        return DecompositionBound(value, DecompositionWitness("direct"))
-    direct = _direct_upper_bound(tau, y) if tau < 1.0 else math.inf  # (1, y <= 0): identity
+    direct = _direct_upper_bound(target.tau, target.y)
     if not math.isfinite(direct):
         raise InfeasibleDecompositionError(
             "target admits no finite direct bound; is it the identity?"
         )
     best = DecompositionBound(direct, DecompositionWitness("direct"))
-    if direct == 0.0:
-        return best  # a candidate replaces the best only when strictly smaller
+    if direct == 0.0 or target.tau >= 1.0:
+        return best  # nothing is below 0, and tau >= 1 is not scanned
 
     lo, hi = _gain_interval(target)
     for allocation in ("min_noise_first", "min_noise_last"):

@@ -290,7 +290,8 @@ def tensor_with_identity(channel: GaussianChannel) -> GaussianChannel:
 class PhaseInsensitiveParams:
     """Scaling/noise pair (tau, y) of an isotropic single-mode channel.
 
-    tau < 1 is an attenuator, tau > 1 an amplifier, tau = 1 additive noise.
+    tau < 1 is an attenuator, tau > 1 an amplifier, tau == 1.0 additive noise,
+    or the identity where y is 0; tau is read exactly, with no rounding to 1.
     Complete positivity requires y >= |1 - tau|.
     """
 
@@ -333,19 +334,18 @@ def phase_insensitive_family(params: PhaseInsensitiveParams) -> tuple[str, tuple
 
     Returns ("identity", ()), ("additive", (beta,)), ("attenuator", (eta, N))
     or ("amplifier", (g, N)); the parameters are in the order the family's
-    constructor takes them. tau within ISO_TOL of 1 is additive noise, and
-    the identity when y is also within ISO_TOL of 0.
+    constructor takes them. The family comes from the exact tau (`_family_of`).
     """
     return _family_of(params.tau, params.y)
 
 
 def _family_of(tau: float, y: float) -> tuple[str, tuple]:
     """phase_insensitive_family on plain floats (the decomposition scan's
-    inner loop calls it without building PhaseInsensitiveParams)."""
-    if abs(tau - 1.0) <= ISO_TOL:
-        if y <= ISO_TOL:
-            return "identity", ()
-        return "additive", (2.0 / y,)
+    inner loop calls it without building PhaseInsensitiveParams): tau == 1.0
+    is additive noise with beta = 2 / y, or the identity where y <= 0; tau < 1
+    an attenuator and tau > 1 an amplifier, N = max(0, (y / |1 - tau| - 1) / 2)."""
+    if tau == 1.0:
+        return ("additive", (2.0 / y,)) if y > 0.0 else ("identity", ())
     if tau < 1.0:
         return "attenuator", (tau, max(0.0, (y / (1.0 - tau) - 1.0) / 2.0))
     return "amplifier", (tau, max(0.0, (y / (tau - 1.0) - 1.0) / 2.0))
@@ -355,22 +355,18 @@ def from_phase_insensitive(params: PhaseInsensitiveParams) -> GaussianChannel:
     """Build the channel realizing (tau, y), in the family picked by
     phase_insensitive_family.
 
-    That family rounds tau within ISO_TOL of 1 to 1, and y within ISO_TOL of
-    0 to 0 for the identity; the channel keeps the exact moments of (tau, y)
-    under the family's tag, so composing channels composes their (tau, y).
+    An attenuator or amplifier comes from its constructor, with the moments
+    of (tau, y) up to the rounding of its N. At tau == 1.0 the moments are
+    (I, y I) themselves, tagged as additive noise with beta = 2 / y, or
+    untagged for the identity; so y keeps its value, also where 2 / y
+    overflows and no additive_noise(beta) exists.
     """
     family, args = phase_insensitive_family(params)
-    constructors = {
-        "identity": identity_channel,
-        "additive": additive_noise,
-        "attenuator": attenuator,
-        "amplifier": amplifier,
-    }
-    channel = constructors[family](*args)
-    if family in ("identity", "additive"):
-        X, Y = math.sqrt(params.tau) * np.eye(2), params.y * np.eye(2)
-        channel = GaussianChannel(X, Y, channel.family, channel.params)
-    return channel
+    if family == "attenuator":
+        return attenuator(*args)
+    if family == "amplifier":
+        return amplifier(*args)
+    return GaussianChannel(np.eye(2), params.y * np.eye(2), "additive" if args else "", args)
 
 
 _COMPLEMENT_BY_EXCHANGE = {

@@ -49,7 +49,7 @@ ENTROPY_DOMAIN_TOL = 1e-10  # abs: bosonic_entropy takes x >= 1 - this, with h =
 CP_TOL = 1e-10  # abs, + _EIG_SLACK x scale of Y: a channel's CP form may dip this far below 0
 CP_SLACK = 1e-12  # abs: a phase-insensitive y may fall this far below |1 - tau|
 MIXING_PSD_TOL = 1e-12  # abs: a classical-mixing covariance may dip this far below 0
-ISO_TOL = 1e-10  # abs: isotropy of a single-mode (X, Y); tau = 1 and y = 0 within it
+ISO_TOL = 1e-10  # abs: isotropy of a single-mode (X, Y)
 GRID_END_TOL = 1e-9  # x step, + ulp(|lo| + |hi|): a stepped figure grid keeps an end this far past hi
 CHECK_EXACT_TOL = 1e-12  # abs: verify's degradability, flag-condition and mixing residuals
 CHECK_GAUGE_TOL = 1e-10  # abs: verify's gauge-covariance residuals

@@ -359,8 +359,8 @@ def test_table_rows_hold_the_closed_forms_unchecked(family, points):
         (0.7, 0.3 * 1.1, "attenuator"),
         (1.5, 0.5 * 2.0, "amplifier"),
         (1.0, 0.5, "additive"),
-        (1.0 - 5e-11, 0.5, "additive"),
-        (1.0 + 5e-11, 0.5, "additive"),
+        (1.0 - 5e-11, 0.5, "attenuator"),  # tau is read exactly: no rounding to 1
+        (1.0 + 5e-11, 0.5, "amplifier"),
     ],
 )
 def test_decomposition_and_channels_agree_on_family(tau, y, family):
@@ -523,10 +523,11 @@ def _amplifier_point(log_gain_excess, N):
 
 
 # (tau, y) of attenuators (tau -> 0, 1/2 and 1), amplifiers (tau -> 1 and
-# 10^6) and additive noise, each with photon numbers out to 10^+-300
+# 10^6) and additive noise, each with photon numbers out to 10^+-300; 1 - eta
+# and g - 1 reach 1e-16, where tau rounds to 1 - ulp, 1 + ulp or 1 itself
 _POINTS = st.one_of(
-    st.builds(_attenuator_point, st.floats(-15.0, math.log10(0.5)), st.booleans(), _PHOTONS),
-    st.builds(_amplifier_point, st.floats(-6.0, 6.0), _PHOTONS),
+    st.builds(_attenuator_point, st.floats(-16.0, math.log10(0.5)), st.booleans(), _PHOTONS),
+    st.builds(_amplifier_point, st.floats(-16.0, 6.0), _PHOTONS),
     st.floats(-300.0, 300.0).map(lambda e: (1.0, 2.0 / 10.0**e)),  # additive, y = 2/beta
 )
 
@@ -536,13 +537,13 @@ _POINTS = st.one_of(
 @example((1.5, 0.5 * 2.0))
 @example((1.0 + 5e-11, 0.5))
 @example((1.0, 2.0 / 5e-309))  # 1/beta overflows
-@example((1.0, 2e-11))  # the identity
+@example((1.0, 0.0))  # the identity
 def test_direct_upper_bound_is_the_report_combined(point):
     # The decomposition scan's direct bound is the minimum over the same
     # applicable rows as a report's combined, and fails on the same points.
     tau, y = point
     family, args = _family_of(tau, y)
-    if family == "identity":  # y <= ISO_TOL: no bound to take
+    if family == "identity":  # (1, 0): no bound to take
         assert _direct_upper_bound(tau, y) == math.inf
         return
     params = dict(zip(FAMILIES[family].params, args))
@@ -794,8 +795,8 @@ _PINNED_DECOMPOSITIONS = [
     (_attenuator_target(0.8, 0.0), 2.0000000000000004, "direct", "", None),  # pure loss
     # zero capacity: the direct bound is already 0
     (_amplifier_target(2.0, 1.0), 0.0, "direct", "", None),
-    # g - 1 within ISO_TOL of 0: the report's combined, where a snap to
-    # additive noise raised (y <= ISO_TOL) or read 6e-6 bits below it
+    # g - 1 below 1e-10: the report's combined, where rounding tau to 1
+    # (additive noise) raised (y <= 1e-10) or read 6e-6 bits below it
     (_amplifier_target(1.0 + 1e-12, 0.5), 38.4855651368402, "direct", "", None),
     (_amplifier_target(1.0 + 1e-11, 100.0), 28.447468145390193, "direct", "", None),
 ]
@@ -936,7 +937,8 @@ _ALLOCATIONS = ("min_noise_first", "min_noise_last")
 
 # The scan searches amplifier_first only. amplifier_last, attenuator tau / G
 # then amplifier G, is kept here as a reference: its gains end at the CP
-# limit (1 + tau + y) / 2, and `_pair` splits its noise by `_stage_pair`'s rule.
+# limit (1 + tau + y) / 2, and `_pair` splits its noise by `_stage_pair`'s
+# rule: a stage's noise is never below its |1 - tau|.
 def _interval(target, kind):
     if kind == "amplifier_first":
         return _gain_interval(target)
@@ -945,37 +947,48 @@ def _interval(target, kind):
     return start, max(start, min(end, DECOMPOSITION_GAIN_MAX * start))
 
 
+def _split(target, gain, kind, allocation):
+    """Stages (tau1, y1, tau2, y2) of a split, by `_stage_pair`'s arithmetic
+    and unchecked."""
+    tau1, tau2 = (gain, target.tau / gain) if kind == "amplifier_first" else (target.tau / gain, gain)
+    if allocation == "min_noise_first":
+        y1 = abs(1.0 - tau1)
+        return tau1, y1, tau2, target.y - tau2 * y1
+    y2 = abs(1.0 - tau2)
+    return tau1, (target.y - y2) / tau2, tau2, y2
+
+
+def _cp_miss(target, gain, kind, allocation):
+    """How far a split's noise falls below |1 - tau| at its worse stage; a
+    split is CP where this is at most 0."""
+    tau1, y1, tau2, y2 = _split(target, gain, kind, allocation)
+    return max(abs(1.0 - tau1) - y1, abs(1.0 - tau2) - y2)
+
+
 def _pair(target, gain, kind, allocation):
     if kind == "amplifier_first":
         return _stage_pair(target, gain, allocation)
-    tau1, tau2 = target.tau / gain, gain
-    if allocation == "min_noise_first":
-        y1 = abs(1.0 - tau1)
-        y2 = target.y - tau2 * y1
-        if y2 < abs(1.0 - tau2) - CP_SLACK:
-            return None
-        return tau1, y1, tau2, max(y2, abs(1.0 - tau2))
-    y2 = abs(1.0 - tau2)
-    y1 = (target.y - y2) / tau2
-    if y1 < abs(1.0 - tau1) - CP_SLACK:
-        return None
-    return tau1, max(y1, abs(1.0 - tau1)), tau2, y2
+    stages = _split(target, gain, kind, allocation)
+    return None if _cp_miss(target, gain, kind, allocation) > 0.0 else stages
 
 
 def _assert_gain_interval(target, kind, limit):
     """The scan's gains for `kind` are [max(1, tau), G_max], with G_max the
     closed-form CP limit `limit` unless DECOMPOSITION_GAIN_MAX x the start cuts
-    it short; `_stage_pair` agrees in both allocations: a CP pair at 400
-    log-spaced gains over [start, G_max], both ends included, and just below
-    G_max, so the golden searches inside the interval never leave it; none
-    just above an uncapped G_max."""
+    it short; `_stage_pair` agrees in both allocations: an exact CP pair at
+    the start, at 398 log-spaced gains inside and just below G_max, so the
+    golden searches inside the interval never leave it; at G_max an exact
+    pair, or a split whose noise misses |1 - tau| by rounding (CP_SLACK) at
+    most; none just above an uncapped G_max."""
     lo, hi = _interval(target, kind)
     assert lo == max(1.0, target.tau)
     cap = DECOMPOSITION_GAIN_MAX * lo
     assert hi == pytest.approx(min(limit, cap), rel=1e-12)
     for allocation in _ALLOCATIONS:
-        for gain in np.geomspace(lo, hi, 400).tolist() + [lo, hi * (1.0 - 1e-9), hi]:
+        for gain in np.geomspace(lo, hi, 400).tolist()[:-1] + [lo, hi * (1.0 - 1e-9)]:
             assert _pair(target, gain, kind, allocation) is not None, (gain, allocation)
+        if _pair(target, hi, kind, allocation) is None:
+            assert 0.0 < _cp_miss(target, hi, kind, allocation) <= CP_SLACK, allocation
         above = _pair(target, hi * (1.0 + 1e-9), kind, allocation)
         assert (above is not None) == (limit > cap * (1.0 + 1e-9)), allocation
 
@@ -1015,10 +1028,12 @@ def test_gain_limits_of_an_attenuator():
 def test_stage_pairs_follow_the_one_cp_rule(tau, sign, exponent, near, offset):
     # 1 + tau - y = +-10^exponent. The gains are the ends of the scan's
     # closed-form gain intervals and the CP limits of both stage orders moved
-    # by a relative +-10^offset, where the unclamped noise sits within
-    # CP_SLACK and a little beyond. Each returned pair constructs as
-    # PhaseInsensitiveParams; each rejected one has its unclamped noise more
-    # than CP_SLACK below |1 - tau|. The interval ends always have a pair.
+    # by a relative +-10^offset, where the noise sits within rounding of the
+    # limit and a little beyond. Each returned pair constructs as
+    # PhaseInsensitiveParams and keeps every noise at or above its
+    # |1 - tau|; each rejected one has a noise below it, with no slack. The
+    # interval's start always has a pair, its end one or a split that misses
+    # by rounding (CP_SLACK) at most.
     target = PhaseInsensitiveParams(tau, 1.0 + tau - sign * 10.0**exponent)
     limits = [(1.0 + tau + target.y) / 2.0]
     excess = 1.0 + tau - target.y
@@ -1028,18 +1043,20 @@ def test_stage_pairs_follow_the_one_cp_rule(tau, sign, exponent, near, offset):
     ends = [gain for kind in _KINDS for gain in _interval(target, kind)]
     for gain in ends + nearby:
         for kind in _KINDS:
-            tau1, tau2 = (gain, tau / gain) if kind == "amplifier_first" else (tau / gain, gain)
+            lo, hi = _interval(target, kind)
             for allocation in _ALLOCATIONS:
                 stages = _pair(target, gain, kind, allocation)
-                if gain in _interval(target, kind):
-                    assert stages is not None, (gain, kind, allocation)
+                miss = _cp_miss(target, gain, kind, allocation)
                 if stages is not None:
+                    assert miss <= 0.0, (gain, kind, allocation)
                     PhaseInsensitiveParams(*stages[:2])
                     PhaseInsensitiveParams(*stages[2:])
-                elif allocation == "min_noise_first":
-                    assert target.y - tau2 * abs(1.0 - tau1) < abs(1.0 - tau2) - CP_SLACK
                 else:
-                    assert (target.y - abs(1.0 - tau2)) / tau2 < abs(1.0 - tau1) - CP_SLACK
+                    assert miss > 0.0, (gain, kind, allocation)
+                if gain == lo:
+                    assert stages is not None, (gain, kind, allocation)
+                elif gain == hi:
+                    assert stages is not None or miss <= CP_SLACK, (gain, kind, allocation)
 
 
 def _dense_decomposition(target, points=2000):
@@ -1078,23 +1095,13 @@ def _assert_composes(witness, target):
     if witness.kind != "direct":
         composed = witness.stage1.then(witness.stage2)
         assert composed.tau == pytest.approx(target.tau, rel=1e-12)
-        assert composed.y == pytest.approx(target.y, rel=1e-12, abs=1e-12)
+        assert composed.y == pytest.approx(target.y, rel=1e-12)
 
 
-def _exact_family(tau, y):
-    """`_family_of` with tau classified exactly, as the scan reads tau >= 1:
-    tau == 1 is additive noise (the identity at y == 0), tau > 1 an amplifier."""
-    if tau == 1.0:
-        return ("additive", (2.0 / y,)) if y > 0.0 else ("identity", ())
-    if tau > 1.0:
-        return "amplifier", (tau, max(0.0, (y / (tau - 1.0) - 1.0) / 2.0))
-    return _family_of(tau, y)
-
-
-def _scan_target(point, classify=_family_of):
+def _scan_target(point):
     """The target at `point` and its report's combined, or None where the
     point is the identity or outside its family's domain."""
-    family, args = classify(*point)
+    family, args = _family_of(*point)
     if family == "identity":
         return None
     try:
@@ -1110,9 +1117,9 @@ def _scan_target(point, classify=_family_of):
 @example((5e-324, 3.0))  # tau / G underflows to 0
 def test_decomposition_scan_computes_wherever_the_report_does(point):
     # A candidate with a stage outside its family's domain reads inf, as a
-    # split that is not CP does; it never makes the scan raise. A target with
-    # tau >= 1 reads its own family's rows, with tau classified exactly.
-    checked = _scan_target(point, _exact_family if point[0] >= 1.0 else _family_of)
+    # split that is not CP does; it never makes the scan raise, near tau = 1
+    # too, where the target and its stages read their family by exact tau.
+    checked = _scan_target(point)
     if checked is None:
         return
     target, combined = checked
@@ -1141,7 +1148,7 @@ _ADDITIVE = st.floats(-300.0, 300.0).map(lambda e: (1.0, 2.0 / 10.0**e))  # y = 
 
 
 @given(st.one_of(st.builds(_amplifier_point, st.floats(-16.0, 6.0), _PHOTONS), _ADDITIVE))
-@example((1.0 + 1e-12, 1e-12 * 2.0))  # a snap to tau = 1 read the identity here
+@example((1.0 + 1e-12, 1e-12 * 2.0))  # rounding tau to 1 read the identity here
 @example((1.0 + 1e-11, 1e-11 * 201.0))  # and additive noise 6e-6 bits below the report
 @example((1.0 + 1e6, 1e6 * (2.0 * 1e300 + 1.0)))  # 2N + 1 is finite, y / (tau - 1) overflows
 def test_decomposition_scan_at_tau_one_and_above_is_the_own_report(point):
@@ -1151,7 +1158,7 @@ def test_decomposition_scan_at_tau_one_and_above_is_the_own_report(point):
     if not math.isfinite(y):
         return  # no such target
     target = PhaseInsensitiveParams(tau, y)
-    family, args = _exact_family(tau, y)
+    family, args = _family_of(tau, y)
     try:
         expected = bounds_report(family, **dict(zip(FAMILIES[family].params, args))).combined
     except ParamDomainError as exc:
@@ -1163,7 +1170,7 @@ def test_decomposition_scan_at_tau_one_and_above_is_the_own_report(point):
 
 
 @given(st.floats(-16.0, 6.0))
-@example(math.log10(1.24e-10))  # a snap to tau = 1 read 2.6e-6 bits below the capacity
+@example(math.log10(1.24e-10))  # rounding tau to 1 read 2.6e-6 bits below the capacity
 @example(-12.0)  # and the identity here
 def test_decomposition_scan_not_below_the_quantum_limited_amplifier_capacity(log_excess):
     # The quantum-limited amplifier's capacity is its lower bound
@@ -1177,16 +1184,30 @@ def test_decomposition_scan_not_below_the_quantum_limited_amplifier_capacity(log
     assert value >= lower - 1e-12 * max(1.0, lower)
 
 
+@given(st.floats(-16.0, math.log10(0.5)).map(lambda e: 10.0**e))
+@example(1.0598666990070718e-10)  # rounding clamped splits read 9.1e-8 relative below it
+@example(1e-11)  # and rounding tau to 1 raised here
+def test_decomposition_scan_not_below_the_pure_loss_capacity(loss):
+    # Pure loss with eta >= 1/2 has capacity log2(eta / (1 - eta)) (Wolf,
+    # Perez-Garcia & Giedke, PRL 98, 130501 (2007)): the scan computes at
+    # every such eta below 1, and never reads below that capacity.
+    eta = 1.0 - loss
+    if eta == 1.0:
+        return  # the identity
+    capacity = math.log2(eta / (1.0 - eta))
+    value = combined_decomposition_bound(PhaseInsensitiveParams(eta, 1.0 - eta)).value
+    assert value >= capacity - 1e-12 * max(1.0, capacity)
+
+
 @settings(deadline=None)
 @given(st.one_of(
-    st.builds(_amplifier_point, st.floats(-9.0, 6.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e)),
+    st.builds(_amplifier_point, st.floats(-16.0, 6.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e)),
     _ADDITIVE,
 ))
 def test_two_stage_splits_gain_nothing_at_tau_one_and_above(point):
     # The census behind reading tau >= 1 from the own rows: no candidate of
     # the dense two-order scan beats the target's direct bound by more than
-    # rounding. Points within ISO_TOL of tau = 1 are left out, since the
-    # reference reads them through `_family_of`'s snap.
+    # rounding, down to g - 1 = 1e-16.
     checked = _scan_target(point)
     if checked is not None:
         value = combined_decomposition_bound(checked[0]).value

@@ -346,8 +346,9 @@ def test_phase_insensitive_rejects_non_isotropic():
     st.floats(min_value=0.3, max_value=2.0),
     st.floats(min_value=0.0, max_value=1.0),
 )
-@example(1.0, 0.0, 1.0, 1e-10)  # y within ISO_TOL of 0 at tau = 1: the identity's family
-@example(1.0 + 5e-11, 0.0, 1.0 - 5e-11, 0.0)  # tau within ISO_TOL of 1: additive noise
+@example(1.0, 0.0, 1.0, 1e-10)  # the identity, then additive noise with beta = 2e10
+@example(1.0 + 5e-11, 0.0, 1.0 - 5e-11, 0.0)  # tau read exactly: an amplifier, then an attenuator
+@example(1.0, 0.0, 1.0, 1.1125369292536007e-308)  # additive noise whose beta = 2 / y overflows
 def test_phase_insensitive_composition_algebra(tau_a, extra_a, tau_b, extra_b):
     a = PhaseInsensitiveParams(tau_a, abs(1 - tau_a) + extra_a)
     b = PhaseInsensitiveParams(tau_b, abs(1 - tau_b) + extra_b)
